@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,48 +133,77 @@ ModeResults measure_modes(const Workload& w, double round_seconds = 0.25,
   return out;
 }
 
-/// Sampler idle-cost guard: an installed-but-idle obs::Sampler (interval
-/// far beyond the run length, so it never fires mid-run) must cost < 2%
-/// of the no-observer fast path, and the simulated cost must be
-/// bit-identical with and without the sampler attached. Rounds alternate
-/// detached/idle and each configuration keeps its best round, the same
-/// noise discipline as measure_modes.
+/// Observer cost guard: one detached and one attached configuration of the
+/// same core, measured in alternating rounds, each keeping its best round
+/// (the noise discipline of measure_modes). The attached observer must
+/// leave the simulated cost bit-identical: every PerfCounters field of the
+/// last repetition of each configuration is compared.
 struct GuardResult {
-  Measurement detached, idle;
-  bool cycles_identical = false;
+  Measurement detached, attached;
+  bool perf_identical = false;
+  /// Superblock coverage of the last repetition (Core::reset clears it).
+  sim::SuperblockStats detached_sb, attached_sb;
   double ratio() const {
-    return detached.mips() > 0 ? idle.mips() / detached.mips() : 0;
+    return detached.mips() > 0 ? attached.mips() / detached.mips() : 0;
   }
 };
 
-GuardResult measure_sampler_guard(const Workload& w,
-                                  double round_seconds = 0.25,
-                                  int rounds = 3) {
+/// `attach(core)` attaches the observer and returns the function that
+/// detaches it again.
+template <typename Attach>
+GuardResult measure_guard(const Workload& w, bool superblock, Attach attach,
+                          double round_seconds = 0.25, int rounds = 3) {
   GuardResult out;
   mem::Memory mem;
   sim::Core core(mem, w.cfg);
+  core.set_superblock(superblock);
 
-  cycles_t detached_cycles = 0, idle_cycles = 0;
+  sim::PerfCounters detached_perf, attached_perf;
   for (int r = 0; r < rounds; ++r) {
     for (int mode = 0; mode < 2; ++mode) {
-      std::unique_ptr<obs::Sampler> sampler;
-      if (mode == 1) {
-        obs::Sampler::Options sopts;
-        sopts.interval_cycles = cycles_t{1} << 62;  // never due mid-run
-        sampler = std::make_unique<obs::Sampler>(core, sopts);
-      }
+      std::function<void()> detach;
+      if (mode == 1) detach = attach(core);
       Measurement warm;
       one_rep(w, core, mem, warm);
       Measurement round;
       while (round.host_seconds < round_seconds) one_rep(w, core, mem, round);
-      (mode == 0 ? detached_cycles : idle_cycles) = core.perf().cycles;
-      Measurement& best = mode == 0 ? out.detached : out.idle;
+      (mode == 0 ? detached_perf : attached_perf) = core.perf();
+      (mode == 0 ? out.detached_sb : out.attached_sb) =
+          core.superblock_stats();
+      Measurement& best = mode == 0 ? out.detached : out.attached;
       if (round.mips() > best.mips()) best = round;
-      if (sampler) sampler->finalize();
+      if (detach) detach();
     }
   }
-  out.cycles_identical = (detached_cycles == idle_cycles);
+  out.perf_identical = detached_perf == attached_perf;
   return out;
+}
+
+/// Sampler idle-cost guard: an installed-but-idle obs::Sampler (interval
+/// far beyond the run length, so it never fires mid-run) on the fast path.
+GuardResult measure_sampler_guard(const Workload& w) {
+  return measure_guard(w, /*superblock=*/false, [](sim::Core& core) {
+    obs::Sampler::Options sopts;
+    sopts.interval_cycles = cycles_t{1} << 62;  // never due mid-run
+    auto sampler = std::make_shared<obs::Sampler>(core, sopts);
+    return std::function<void()>([sampler] { sampler->finalize(); });
+  });
+}
+
+/// Region-attribution cost guard: the core's in-loop region attribution
+/// with the kernel's phase regions attached, the way run_conv_layer runs
+/// every layer with quantization code. Five rounds: this guard covers four
+/// configurations, so it gets more rounds to discard host noise.
+GuardResult measure_attribution_guard(const Workload& w, bool superblock) {
+  return measure_guard(
+      w, superblock,
+      [&w](sim::Core& core) {
+        core.set_region_attribution(w.kernel.regions.build_index(),
+                                    w.kernel.regions.size());
+        return std::function<void()>(
+            [&core] { core.clear_region_attribution(); });
+      },
+      /*round_seconds=*/0.25, /*rounds=*/5);
 }
 
 }  // namespace
@@ -183,21 +213,31 @@ int main(int argc, char** argv) {
   // speedup of any workload falls below X (the CI regression gate).
   // --guard-sampler [R]: also measure the idle-sampler cost and exit
   // nonzero when it retains less than R of the detached throughput
-  // (default 0.98) or when the simulated cycle count changes at all.
+  // (default 0.98) or when the simulated cost changes at all.
+  // --guard-attribution [R]: the same for the core's region attribution,
+  // on every workload, on the fast path and with superblocks on; with
+  // superblocks on, a fused-instruction gap against the detached run must
+  // be explained by refused bursts (SuperblockStats::region_rejects).
   double required_speedup = 0;
   bool guard_sampler = false;
   double guard_ratio = 0.98;
+  bool guard_attribution = false;
+  double attribution_ratio = 0.98;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--min-speedup" && i + 1 < argc) {
       required_speedup = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--guard-sampler") {
-      guard_sampler = true;
+    } else if (arg == "--guard-sampler" || arg == "--guard-attribution") {
+      const bool sampler = arg == "--guard-sampler";
+      (sampler ? guard_sampler : guard_attribution) = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
-        guard_ratio = std::strtod(argv[++i], nullptr);
+        (sampler ? guard_ratio : attribution_ratio) =
+            std::strtod(argv[++i], nullptr);
       }
     } else {
-      std::fprintf(stderr, "usage: %s [--min-speedup X] [--guard-sampler [R]]\n",
+      std::fprintf(stderr,
+                   "usage: %s [--min-speedup X] [--guard-sampler [R]] "
+                   "[--guard-attribution [R]]\n",
                    argv[0]);
       return 2;
     }
@@ -264,14 +304,14 @@ int main(int argc, char** argv) {
     // Guard on the extended-core workload (the hot configuration).
     const GuardResult g = measure_sampler_guard(workloads.back());
     std::printf("idle-sampler guard: detached %.2f MIPS, idle %.2f MIPS "
-                "(%.1f%% retained, cycles %s)\n",
-                g.detached.mips(), g.idle.mips(), 100 * g.ratio(),
-                g.cycles_identical ? "identical" : "DIVERGED");
+                "(%.1f%% retained, counters %s)\n",
+                g.detached.mips(), g.attached.mips(), 100 * g.ratio(),
+                g.perf_identical ? "identical" : "DIVERGED");
     reg.gauge("guard.sampler.detached_mips", g.detached.mips());
-    reg.gauge("guard.sampler.idle_mips", g.idle.mips());
+    reg.gauge("guard.sampler.idle_mips", g.attached.mips());
     reg.gauge("guard.sampler.retained", g.ratio());
-    reg.flag("guard.sampler.cycles_identical", g.cycles_identical);
-    if (!g.cycles_identical) {
+    reg.flag("guard.sampler.cycles_identical", g.perf_identical);
+    if (!g.perf_identical) {
       std::fprintf(stderr,
                    "FAIL: attaching an idle sampler changed simulated cost\n");
       guard_ok = false;
@@ -282,6 +322,64 @@ int main(int argc, char** argv) {
                    "(< %.1f%%)\n",
                    100 * g.ratio(), 100 * guard_ratio);
       guard_ok = false;
+    }
+  }
+
+  if (guard_attribution) {
+    std::printf("region-attribution guard:\n");
+    for (const Workload& w : workloads) {
+      for (const bool sb : {false, true}) {
+        const GuardResult g = measure_attribution_guard(w, sb);
+        const std::string mode = sb ? "superblock" : "fast";
+        const std::string name = w.platform + "/" + w.variant + " " + mode;
+        const u64 fused_detached = g.detached_sb.fused_instructions;
+        const u64 fused_attached = g.attached_sb.fused_instructions;
+        const u64 rejects = g.attached_sb.region_rejects;
+        std::printf("  %-32s detached %8.2f MIPS, attached %8.2f MIPS "
+                    "(%.1f%% retained, counters %s); fused %llu vs %llu, "
+                    "region rejects %llu\n",
+                    name.c_str(), g.detached.mips(), g.attached.mips(),
+                    100 * g.ratio(),
+                    g.perf_identical ? "identical" : "DIVERGED",
+                    static_cast<unsigned long long>(fused_detached),
+                    static_cast<unsigned long long>(fused_attached),
+                    static_cast<unsigned long long>(rejects));
+        const std::string key = "guard.attribution." + w.platform + "_" +
+                                w.variant + "." + mode;
+        reg.gauge(key + ".detached_mips", g.detached.mips());
+        reg.gauge(key + ".attached_mips", g.attached.mips());
+        reg.gauge(key + ".retained", g.ratio());
+        reg.flag(key + ".perf_identical", g.perf_identical);
+        reg.counter(key + ".fused_instructions.detached", fused_detached);
+        reg.counter(key + ".fused_instructions.attached", fused_attached);
+        reg.counter(key + ".region_rejects", rejects);
+        if (!g.perf_identical) {
+          std::fprintf(stderr,
+                       "FAIL: %s: region attribution changed simulated "
+                       "cost\n",
+                       name.c_str());
+          guard_ok = false;
+        }
+        if (g.ratio() < attribution_ratio) {
+          std::fprintf(stderr,
+                       "FAIL: %s: region attribution retains %.1f%% of "
+                       "detached throughput (< %.1f%%)\n",
+                       name.c_str(), 100 * g.ratio(),
+                       100 * attribution_ratio);
+          guard_ok = false;
+        }
+        if ((fused_attached != fused_detached) != (rejects != 0)) {
+          // A fused-coverage gap nothing counted is a silent fallback.
+          std::fprintf(stderr,
+                       "FAIL: %s: fused instructions %llu attached vs %llu "
+                       "detached with %llu region rejects\n",
+                       name.c_str(),
+                       static_cast<unsigned long long>(fused_attached),
+                       static_cast<unsigned long long>(fused_detached),
+                       static_cast<unsigned long long>(rejects));
+          guard_ok = false;
+        }
+      }
     }
   }
 

@@ -52,6 +52,14 @@ step "configure (default preset)" cmake --preset default
 step "build (default preset)" cmake --build --preset default -j "$(nproc)"
 step "ctest (default preset)" ctest --preset default -j "$(nproc)"
 
+e2e_smoke_step() {
+  python3 e2ebench/run.py --workload tiny_net4 --seed 1 --seconds 2 \
+    --trace 1 | tail -n 1 > /tmp/e2e-smoke.json
+  python3 -c "import json, sys; r = json.load(open('/tmp/e2e-smoke.json')); print('e2e smoke:', r['correct'], r['attempted'], r['failed']); sys.exit(0 if r['correct'] is True else 1)"
+}
+step "e2ebench: tiny_net4 traced smoke (quant attribution vs profiler)" \
+  e2e_smoke_step
+
 step "xlint: encoding-space audit + kernel sweep" \
   ./build/tools/xlint --audit --kernels
 

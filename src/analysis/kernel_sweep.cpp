@@ -30,18 +30,26 @@ AnalyzerOptions options_for(bool xpulpnn, bool hwloops = true) {
   return o;
 }
 
-void add_conv(std::vector<KernelCheck>& out, const qnn::ConvSpec& spec,
+void add_conv(std::vector<SweepKernel>& out, const qnn::ConvSpec& spec,
               ConvVariant v, const std::string& name,
               const AnalyzerOptions& opt,
               const kernels::ConvGenOptions& gen = {}) {
-  const kernels::ConvKernel k = kernels::generate_conv_kernel(spec, v, 0x40000, gen);
-  out.push_back({name, ProgramAnalyzer(opt).analyze(k.program)});
+  kernels::ConvKernel k = kernels::generate_conv_kernel(spec, v, 0x40000, gen);
+  out.push_back({name, std::move(k.program), std::move(k.regions), opt});
 }
 
 }  // namespace
 
 std::vector<KernelCheck> analyze_paper_kernels() {
   std::vector<KernelCheck> out;
+  for (const SweepKernel& k : paper_kernels()) {
+    out.push_back({k.name, ProgramAnalyzer(k.options).analyze(k.program)});
+  }
+  return out;
+}
+
+std::vector<SweepKernel> paper_kernels() {
+  std::vector<SweepKernel> out;
 
   // ---- convolution variants, both ISAs ----
   // The XpulpV2 variants must verify against a core *without* XpulpNN:
@@ -96,17 +104,17 @@ std::vector<KernelCheck> analyze_paper_kernels() {
   for (const auto op : {kernels::PoolOp::kMax, kernels::PoolOp::kAvg}) {
     const char* opn = op == kernels::PoolOp::kMax ? "max" : "avg";
     for (const unsigned bits : {8u, 4u, 2u}) {
-      const kernels::PoolKernel nat = kernels::generate_pool2x2_kernel(
+      kernels::PoolKernel nat = kernels::generate_pool2x2_kernel(
           pool_shape, bits, op, /*native_subbyte=*/true);
       out.push_back({"pool/" + std::string(opn) + "/native/" +
                          std::to_string(bits) + "b",
-                     ProgramAnalyzer(options_for(bits != 8)).analyze(nat.program)});
+                     std::move(nat.program), {}, options_for(bits != 8)});
       if (bits != 8) {
-        const kernels::PoolKernel base = kernels::generate_pool2x2_kernel(
+        kernels::PoolKernel base = kernels::generate_pool2x2_kernel(
             pool_shape, bits, op, /*native_subbyte=*/false);
         out.push_back({"pool/" + std::string(opn) + "/baseline/" +
                            std::to_string(bits) + "b",
-                       ProgramAnalyzer(options_for(false)).analyze(base.program)});
+                       std::move(base.program), {}, options_for(false)});
       }
     }
   }

@@ -12,8 +12,24 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "obs/region.hpp"
+#include "xasm/program.hpp"
 
 namespace xpulp::analysis {
+
+/// One generated kernel of the matrix.
+struct SweepKernel {
+  std::string name;  // e.g. "conv/xpulpnn_hwq/4b"
+  xasm::Program program;
+  /// Phase regions the generator marked (conv and linear kernels); empty
+  /// for pooling kernels.
+  obs::RegionMap regions;
+  /// ISA feature set of the core the kernel targets.
+  AnalyzerOptions options;
+};
+
+/// Generate the full kernel matrix, in analyze_paper_kernels() order.
+std::vector<SweepKernel> paper_kernels();
 
 struct KernelCheck {
   std::string name;        // e.g. "conv/xpulpnn_hwq/4b"

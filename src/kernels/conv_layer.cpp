@@ -190,31 +190,6 @@ ConvLayerData ConvLayerData::random(const qnn::ConvSpec& spec, u64 seed) {
   return d;
 }
 
-namespace {
-
-/// Shared tail of run_conv_layer: halt check, output unpack, stats.
-ConvRunResult finish_conv_run(sim::Core& core, mem::Memory& mem,
-                              const ConvKernel& kernel,
-                              const qnn::ConvSpec& spec, ConvRunResult& res) {
-  if (core.halt_reason() != sim::HaltReason::kEcall) {
-    throw SimError("kernel stopped for an unexpected reason");
-  }
-
-  std::vector<u8> out_bytes(kernel.layout.output_bytes);
-  mem.read_block(kernel.layout.output, out_bytes);
-  res.output = qnn::unpack_tensor(
-      out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
-      /*is_signed=*/false);
-  res.perf = core.perf();
-  res.activity = core.dotp_unit().activity();
-  res.mem_stats = mem.stats();
-  res.code_bytes = kernel.program.size_bytes();
-  res.macs = spec.macs();
-  return res;
-}
-
-}  // namespace
-
 qnn::Tensor ConvLayerData::golden() const {
   if (spec.out_bits == 8) {
     return qnn::conv2d_ref_u8(input, weights, spec);
@@ -261,39 +236,42 @@ ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
   core.reset(kernel.program.entry(),
              kernel.program.base() + kernel.program.size_bytes());
 
-  ConvRunResult res;
-  const u64 max_instr = 600'000'000;
-
-  if (kernel.quant_ranges.empty()) {
-    // No quantization ranges to attribute: run untraced (zero profiling
-    // overhead on the fast path).
-    core.run(max_instr);
-    if (core.halt_reason() == sim::HaltReason::kInstrLimit) {
-      throw SimError("kernel did not terminate");
-    }
-    return finish_conv_run(core, mem, kernel, spec, res);
+  // Fig. 6 reports the quantization share, so kernels with quantization
+  // ranges run with the core's in-loop region attribution attached: it
+  // charges every counter delta to the region of the instruction that
+  // caused it, bit-identical to obs::Profiler's region table, without a
+  // per-instruction hook — every dispatch mode, superblocks included,
+  // stays hot. Kernels without quantization code run unobserved.
+  if (!kernel.quant_ranges.empty()) {
+    core.set_region_attribution(kernel.regions.build_index(),
+                                kernel.regions.size());
+  }
+  core.run(600'000'000);
+  if (core.halt_reason() == sim::HaltReason::kInstrLimit) {
+    throw SimError("kernel did not terminate");
+  }
+  if (core.halt_reason() != sim::HaltReason::kEcall) {
+    throw SimError("kernel stopped for an unexpected reason");
   }
 
-  // Attribute cycles spent in re-quantization code via the profiler
-  // (Fig. 6 reports the quantization share). Attribution is identical to
-  // stepping manually and diffing the cycle counter around each
-  // quant-range instruction: the hook fires before an instruction's
-  // stalls are charged, so each counter delta covers exactly one
-  // instruction.
-  {
-    obs::Profiler::Options popts;
-    popts.track_pc = false;  // only the region split is needed here
-    obs::Profiler prof(core, kernel.regions, popts);
-    core.run(max_instr);
-    if (core.halt_reason() == sim::HaltReason::kInstrLimit) {
-      throw SimError("kernel did not terminate");
-    }
-    prof.finalize();
-    for (const obs::RegionStat& r : prof.region_stats()) {
+  ConvRunResult res;
+  if (core.has_region_attribution()) {
+    for (const obs::RegionStat& r :
+         obs::attributed_region_stats(core, kernel.regions)) {
       if (r.name == "quant") res.quant_cycles += r.stat.cycles;
     }
   }
-  return finish_conv_run(core, mem, kernel, spec, res);
+  std::vector<u8> out_bytes(kernel.layout.output_bytes);
+  mem.read_block(kernel.layout.output, out_bytes);
+  res.output = qnn::unpack_tensor(
+      out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
+      /*is_signed=*/false);
+  res.perf = core.perf();
+  res.activity = core.dotp_unit().activity();
+  res.mem_stats = mem.stats();
+  res.code_bytes = kernel.program.size_bytes();
+  res.macs = spec.macs();
+  return res;
 }
 
 }  // namespace xpulp::kernels

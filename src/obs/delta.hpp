@@ -121,6 +121,7 @@ inline sim::SuperblockStats diff(const sim::SuperblockStats& a,
   d.invalidations = a.invalidations - b.invalidations;
   d.sample_flushes = a.sample_flushes - b.sample_flushes;
   d.burst_flushes = a.burst_flushes - b.burst_flushes;
+  d.region_rejects = a.region_rejects - b.region_rejects;
   return d;
 }
 

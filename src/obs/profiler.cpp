@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/error.hpp"
+
 namespace xpulp::obs {
 
 Profiler::Profiler(sim::Core& core, const RegionMap& regions,
@@ -213,6 +215,27 @@ void Profiler::add_to_registry(Registry& r, std::string_view prefix) const {
   for (size_t i = 0; i < region_stats_.size(); ++i) {
     add_site(pre + "regions." + region_names_[i], region_stats_[i]);
   }
+}
+
+std::vector<RegionStat> attributed_region_stats(const sim::Core& core,
+                                                const RegionMap& regions) {
+  const std::vector<sim::RegionCounters> totals = core.region_attribution();
+  if (totals.size() != static_cast<size_t>(regions.size()) + 1) {
+    throw SimError("core region attribution does not match the region map");
+  }
+  std::vector<RegionStat> out;
+  out.reserve(totals.size());
+  for (size_t i = 0; i < totals.size(); ++i) {
+    const sim::RegionCounters& t = totals[i];
+    RegionStat r;
+    r.name = i < totals.size() - 1 ? regions.name(static_cast<int>(i))
+                                   : std::string("other");
+    r.stat.instructions = t.instructions;
+    r.stat.cycles = t.cycles;
+    r.stat.stalls = {t.branch, t.load_use, t.mem, t.mul_div, t.qnt};
+    out.push_back(std::move(r));
+  }
+  return out;
 }
 
 }  // namespace xpulp::obs

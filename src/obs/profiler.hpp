@@ -8,6 +8,15 @@
 // hook, and a core with no hook attached pays nothing (the templated
 // trace-free loop never tests for a profiler).
 //
+// The trace hook keeps the superblock engine cold and costs a
+// std::function call per instruction, so the Profiler is the traced
+// oracle for what only a per-instruction view gives: per-pc, mnemonic and
+// class tables and timelines. Per-region totals alone come from the
+// core's in-loop region attribution (sim::Core::set_region_attribution,
+// read back through attributed_region_stats() below), which keeps every
+// dispatch mode hot and is bit-identical to region_stats() here
+// (test_region_attribution).
+//
 // Attach to a freshly reset core and call finalize() (or destroy the
 // profiler) after the run: total().cycles then equals the core's
 // PerfCounters.cycles, and the per-region cycle totals partition it.
@@ -43,6 +52,7 @@ struct StallBreakdown {
     qnt += o.qnt;
     return *this;
   }
+  bool operator==(const StallBreakdown&) const = default;
 };
 
 /// Accumulated cost of one attribution site (a pc, a mnemonic, a class or
@@ -51,6 +61,8 @@ struct SiteStat {
   u64 instructions = 0;
   u64 cycles = 0;
   StallBreakdown stalls;
+
+  bool operator==(const SiteStat&) const = default;
 };
 
 struct RegionStat {
@@ -179,5 +191,11 @@ class Profiler {
   u64 block_start_ = 0;
   u32 block_instrs_ = 0;
 };
+
+/// The core's in-loop region attribution totals (the core must have
+/// `regions.build_index()` attached), named and ordered like
+/// Profiler::region_stats(): RegionMap order plus a trailing "other".
+std::vector<RegionStat> attributed_region_stats(const sim::Core& core,
+                                                const RegionMap& regions);
 
 }  // namespace xpulp::obs

@@ -255,6 +255,7 @@ void add_superblock_stats(Registry& r, std::string_view prefix,
   r.counter(pre + "trap_bails", s.trap_bails);
   r.counter(pre + "sample_flushes", s.sample_flushes);
   r.counter(pre + "burst_flushes", s.burst_flushes);
+  r.counter(pre + "region_rejects", s.region_rejects);
   r.counter(pre + "invalidations", s.invalidations);
   if (total_instructions != 0) {
     r.gauge(pre + "fused_fraction",

@@ -16,6 +16,45 @@ using isa::Instr;
 using isa::Mnemonic;
 namespace iflag = isa::iflag;
 
+/// Host-side state of the in-loop region attribution: the attached parcel
+/// table flattened into maximal same-region address runs, the per-region
+/// totals and the counter snapshot the next bank measures from.
+struct Core::RegionAttribution {
+  struct Run {
+    addr_t lo = 0;
+    u64 len = 0;
+    int region = 0;
+  };
+  /// Sorted, contiguous, covering [0, 2^32); the last run is "other".
+  std::vector<Run> runs;
+  std::vector<RegionCounters> totals;  // n_regions + 1, "other" last
+  int current = 0;    // region charged by the counters since `mark`
+  RegionCounters mark;  // live counters at the last bank
+};
+
+namespace {
+
+RegionCounters region_snapshot(const PerfCounters& p) {
+  return RegionCounters{p.instructions,         p.cycles,
+                        p.branch_stall_cycles,  p.load_use_stall_cycles,
+                        p.mem_stall_cycles,     p.mul_div_stall_cycles,
+                        p.qnt_stall_cycles};
+}
+
+/// dst += now - since, field by field.
+void add_delta(RegionCounters& dst, const RegionCounters& now,
+               const RegionCounters& since) {
+  dst.instructions += now.instructions - since.instructions;
+  dst.cycles += now.cycles - since.cycles;
+  dst.branch += now.branch - since.branch;
+  dst.load_use += now.load_use - since.load_use;
+  dst.mem += now.mem - since.mem;
+  dst.mul_div += now.mul_div - since.mul_div;
+  dst.qnt += now.qnt - since.qnt;
+}
+
+}  // namespace
+
 bool superblock_default() {
   static const bool enabled = [] {
     const char* e = std::getenv("XPULP_SUPERBLOCK");
@@ -203,7 +242,9 @@ void Core::restore_state(const CoreState& s) {
   // ops would misfuse under the restored value.
   if (mpc_ != s.mpc) sb_evict_mixed_plans();
   mpc_ = s.mpc;
+  if (attr_) attr_bank();
   perf_ = s.perf;
+  if (attr_) attr_->mark = region_snapshot(perf_);
   dotp_.restore(s.dotp);
   // Compiled plans stay valid as long as the code bytes do (same contract
   // as the decode cache: callers invalidate when memory was restored), but
@@ -224,6 +265,78 @@ void Core::set_sampler(SampleFn fn, cycles_t interval_cycles) {
   }
 }
 
+void Core::set_region_attribution(std::vector<int> parcel_regions,
+                                  int n_regions) {
+  if (n_regions < 0) throw SimError("negative region count");
+  auto a = std::make_unique<RegionAttribution>();
+  const auto push = [&](addr_t lo, int region) {
+    if (!a->runs.empty() && a->runs.back().region == region) return;
+    if (!a->runs.empty()) a->runs.back().len = lo - a->runs.back().lo;
+    a->runs.push_back({lo, 0, region});
+  };
+  const u64 parcels = std::min<u64>(parcel_regions.size(),
+                                    kWholeAddressSpace >> 1);
+  for (u64 p = 0; p < parcels; ++p) {
+    const int r = parcel_regions[p];
+    if (r >= n_regions) throw SimError("region index past the region count");
+    push(static_cast<addr_t>(p << 1), r < 0 ? n_regions : r);
+  }
+  if (parcels < (kWholeAddressSpace >> 1)) {
+    push(static_cast<addr_t>(parcels << 1), n_regions);  // past the table
+  }
+  a->runs.back().len = kWholeAddressSpace - a->runs.back().lo;
+  a->totals.resize(static_cast<size_t>(n_regions) + 1);
+  a->current = n_regions;
+  a->mark = region_snapshot(perf_);
+  attr_ = std::move(a);
+  attr_lo_ = 0;
+  attr_len_ = 0;  // the first check resolves the live pc's run
+}
+
+void Core::clear_region_attribution() {
+  attr_.reset();
+  attr_lo_ = 0;
+  attr_len_ = kWholeAddressSpace;
+}
+
+std::vector<RegionCounters> Core::region_attribution() const {
+  if (!attr_) return {};
+  std::vector<RegionCounters> out = attr_->totals;
+  add_delta(out[static_cast<size_t>(attr_->current)], region_snapshot(perf_),
+            attr_->mark);
+  return out;
+}
+
+void Core::attr_bank() {
+  const RegionCounters now = region_snapshot(perf_);
+  add_delta(attr_->totals[static_cast<size_t>(attr_->current)], now,
+            attr_->mark);
+  attr_->mark = now;
+}
+
+void Core::attr_switch() {
+  // A halted core retires nothing more; whatever is still charged (cluster
+  // deferred stalls) belongs to the halting instruction's region.
+  if (halted()) return;
+  const auto& runs = attr_->runs;
+  const auto it = std::upper_bound(
+      runs.begin(), runs.end(), pc_,
+      [](addr_t pc, const RegionAttribution::Run& r) { return pc < r.lo; });
+  const RegionAttribution::Run& run = *(it - 1);  // runs[0].lo == 0
+  attr_lo_ = run.lo;
+  attr_len_ = run.len;
+  if (run.region != attr_->current) {
+    attr_bank();
+    attr_->current = run.region;
+  }
+}
+
+void Core::reset_perf() {
+  if (attr_) attr_bank();
+  perf_ = PerfCounters{};
+  if (attr_) attr_->mark = region_snapshot(perf_);
+}
+
 void Core::sample_fire() {
   // Advance first: the deadline lands on the next interval multiple past
   // the cycle count *at the fired boundary*, so a long-stalling instruction
@@ -234,6 +347,7 @@ void Core::sample_fire() {
 }
 
 bool Core::step() {
+  attr_check();
   bool alive;
   if (ref_dispatch_) {
     alive = step_reference();
@@ -366,21 +480,10 @@ void Core::hwloop_backedge(addr_t after) {
 
 HaltReason Core::run(u64 max_instructions) {
   if (ref_dispatch_) {
-    // Legacy loop shape: dynamic trace check inside step_reference and the
-    // limit read back from the perf counters every iteration. The sampling
-    // deadline compare is unreachable without a sampler (kNoSampleDue).
-    const u64 limit = perf_.instructions + max_instructions;
-    while (!halted()) {
-      step_reference();
-      if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
-      if (perf_.instructions >= limit) {
-        halt_ = HaltReason::kInstrLimit;
-        break;
-      }
-    }
-    return halt_;
+    return attr_ ? run_reference<true>(max_instructions)
+                 : run_reference<false>(max_instructions);
   }
-  if (sampler_) {
+  if (sampler_ || attr_) {
     return trace_ ? run_fast<true, true>(max_instructions)
                   : run_fast<false, true>(max_instructions);
   }
@@ -388,13 +491,34 @@ HaltReason Core::run(u64 max_instructions) {
                 : run_fast<false, false>(max_instructions);
 }
 
-template <bool Traced, bool Sampled>
+template <bool Attributed>
+HaltReason Core::run_reference(u64 max_instructions) {
+  // Legacy loop shape: dynamic trace check inside step_reference and the
+  // limit read back from the perf counters every iteration. The sampling
+  // deadline compare is unreachable without a sampler (kNoSampleDue).
+  const u64 limit = perf_.instructions + max_instructions;
+  while (!halted()) {
+    if constexpr (Attributed) attr_check();
+    step_reference();
+    if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
+    if (perf_.instructions >= limit) {
+      halt_ = HaltReason::kInstrLimit;
+      break;
+    }
+  }
+  return halt_;
+}
+
+template <bool Traced, bool Observed>
 HaltReason Core::run_fast(u64 max_instructions) {
   u64 executed = 0;
   while (!halted()) {
+    // Instruction-start boundary, before the step charges any stall: a
+    // region switch banks everything up to here into the old region.
+    if constexpr (Observed) attr_check();
     step_fast<Traced>();
     ++executed;
-    if constexpr (Sampled) {
+    if constexpr (Observed) {
       // At an exact instruction boundary, before any fused burst starts —
       // so a burst always enters with cycles < sample_due_.
       if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
@@ -415,7 +539,7 @@ HaltReason Core::run_fast(u64 max_instructions) {
         if (executed < max_instructions && cand == pc_ && !halted()) {
           executed +=
               superblock_enter(cand, cand_branch, max_instructions - executed);
-          if constexpr (Sampled) {
+          if constexpr (Observed) {
             // The burst may have repaired to a boundary that crossed the
             // deadline (sample_flushes); fire there, not an instruction
             // later.
@@ -431,7 +555,7 @@ HaltReason Core::run_fast(u64 max_instructions) {
     if constexpr (Traced) {
       // The hook detached itself (returned false): finish the run on the
       // trace-free loop so the rest of the instructions pay no overhead.
-      if (!trace_) return run_fast<false, Sampled>(max_instructions - executed);
+      if (!trace_) return run_fast<false, Observed>(max_instructions - executed);
     }
   }
   return halt_;
@@ -472,6 +596,7 @@ u64 Core::run_burst(cycles_t horizon, u64 max_instructions) {
   try {
     while (perf_.cycles < horizon && executed < max_instructions &&
            !halted()) {
+      attr_check();
       if (ref_dispatch_) {
         step_reference();
       } else if (trace_) [[unlikely]] {

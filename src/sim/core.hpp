@@ -103,6 +103,8 @@ struct PerfCounters {
   /// The quantization unit's comparators hang off this bus; with operand
   /// isolation disabled (no power management) they switch with every load.
   u64 lsu_data_toggles = 0;
+
+  bool operator==(const PerfCounters&) const = default;
 };
 
 /// Sum of the per-cause stall counters.
@@ -155,6 +157,26 @@ struct SuperblockStats {
   /// mechanism as sample_flushes; counted separately so burst-scheduling
   /// stats don't pollute telemetry flush counts.
   u64 burst_flushes = 0;
+  /// Burst entries refused because the plan's code straddles a boundary
+  /// of the attached region table (set_region_attribution): a fused burst
+  /// banks all of its cost into one region, so a multi-region plan runs
+  /// interpreted instead. Zero whenever no table is attached.
+  u64 region_rejects = 0;
+};
+
+/// Cost attributed to one code region by the core's in-loop region
+/// attribution: the PerfCounters deltas charged while the pc was inside
+/// the region, with the same per-cause stall split as obs::StallBreakdown.
+struct RegionCounters {
+  u64 instructions = 0;
+  cycles_t cycles = 0;
+  u64 branch = 0;
+  u64 load_use = 0;
+  u64 mem = 0;
+  u64 mul_div = 0;
+  u64 qnt = 0;
+
+  bool operator==(const RegionCounters&) const = default;
 };
 
 enum class HaltReason { kRunning, kEcall, kEbreak, kInstrLimit };
@@ -248,7 +270,7 @@ class Core {
   u64 run_burst(cycles_t horizon, u64 max_instructions);
 
   const PerfCounters& perf() const { return perf_; }
-  void reset_perf() { perf_ = PerfCounters{}; }
+  void reset_perf();
 
   const CoreConfig& config() const { return cfg_; }
   mem::Memory& memory() { return mem_; }
@@ -286,6 +308,31 @@ class Core {
   /// burst horizons away from this so samples fire on the exact reference
   /// boundary.
   cycles_t next_sample_due() const { return sample_due_; }
+
+  /// Trace-free region attribution (DESIGN.md §10): `parcel_regions[pc >>
+  /// 1]` names the region (0 .. n_regions-1, or negative for none) of
+  /// every code parcel — obs::RegionMap::build_index() builds one. The
+  /// core then charges every PerfCounters delta to the region of the
+  /// instruction that caused it, exactly as obs::Profiler's trace hook
+  /// would, but from inside the dispatch loops: reference, fast and
+  /// superblock, through run(), run_steps(), run_burst() and step().
+  /// Pcs without a region, or past the table, go to a trailing "other"
+  /// bucket (index n_regions). The loops compare the pc against the
+  /// current region run and bank the counter delta only when the region
+  /// changes; a superblock plan that straddles a region boundary is
+  /// refused (SuperblockStats::region_rejects) rather than mis-attributed.
+  /// Detached cost contract: without a table, run() dispatches to the same
+  /// loops as before attribution existed (guarded by bench_sim_throughput
+  /// --guard-attribution). Attaching resets the totals. Attach/detach only
+  /// at an instruction boundary outside run().
+  void set_region_attribution(std::vector<int> parcel_regions, int n_regions);
+  void clear_region_attribution();
+  bool has_region_attribution() const { return attr_ != nullptr; }
+  /// Totals per region since attach, "other" last; includes the counters
+  /// charged since the last region switch. Host-side accounting only, like
+  /// SuperblockStats: not part of CoreState. reset_perf() and
+  /// restore_state() keep the totals (they only rebase the next delta).
+  std::vector<RegionCounters> region_attribution() const;
 
   /// Exact reference-interleaving coordinates of the data access currently
   /// flowing through the memory access hook: the pc of the accessing
@@ -393,14 +440,35 @@ class Core {
   /// runs pay zero trace overhead.
   template <bool Traced>
   bool step_fast();
-  /// `Sampled` compiles the sampling-deadline compare into the loop; the
-  /// no-sampler instantiation is byte-identical to the pre-xtel loop.
-  template <bool Traced, bool Sampled>
+  /// `Observed` compiles the sampling-deadline compare and the region
+  /// attribution compare into the loop (each unreachable while its
+  /// observer is detached); the unobserved instantiation is byte-identical
+  /// to the loop without either observer.
+  template <bool Traced, bool Observed>
   HaltReason run_fast(u64 max_instructions);
+  /// Reference-dispatch run loop; `Attributed` adds the region compare.
+  template <bool Attributed>
+  HaltReason run_reference(u64 max_instructions);
 
   /// Advance the sampling deadline past the current cycle count, then
   /// invoke the hook. Out of line: the run loops only pay the compare.
   void sample_fire();
+
+  /// Region attribution check at an instruction boundary: one compare of
+  /// the pc against the current region run; only leaving the run calls
+  /// out of line. Never true while detached (the run spans the whole
+  /// 32-bit address space).
+  void attr_check() {
+    if (static_cast<u64>(pc_ - attr_lo_) >= attr_len_) [[unlikely]] {
+      attr_switch();
+    }
+  }
+  /// Locate the run containing pc_ and, when its region differs from the
+  /// current one, bank the counter delta into the current region first.
+  void attr_switch();
+  /// Settle the counters charged since the last bank into the current
+  /// region and restart the delta from the live counters.
+  void attr_bank();
 
   /// Reference path: the pre-optimization interpreter, byte-for-byte —
   /// mnemonic switch dispatch plus per-step isa:: predicate calls.
@@ -536,6 +604,15 @@ class Core {
   /// superblock bursts treat min(sample_due_, burst_due_) as the effective
   /// deadline, so both repair to exact boundaries through one mechanism.
   cycles_t burst_due_ = kNoSampleDue;
+
+  /// Region attribution state (core.cpp). attr_lo_/attr_len_ cache the
+  /// current run [lo, lo + len) of the attached table for attr_check();
+  /// detached, they cover every 32-bit pc so the compare never fires.
+  struct RegionAttribution;
+  static constexpr u64 kWholeAddressSpace = u64{1} << 32;
+  std::unique_ptr<RegionAttribution> attr_;
+  addr_t attr_lo_ = 0;
+  u64 attr_len_ = kWholeAddressSpace;
 
   std::vector<BurstAccess>* burst_sink_ = nullptr;
   /// Access-coordinate latches (see access_pc/access_start/access_cycle).

@@ -605,6 +605,15 @@ u64 Core::superblock_enter(addr_t start, addr_t branch_pc, u64 budget) {
     plan = sb_compile(start, branch_pc);
     if (plan == nullptr) return 0;
   }
+  if (attr_) {
+    // A burst charges all of its cost to one region: bank up to this
+    // boundary (start == pc_), then refuse plans that leave the region run.
+    attr_check();
+    if (plan->end - attr_lo_ > attr_len_) {
+      sb_stats_.region_rejects += 1;
+      return 0;
+    }
+  }
   return sb_execute(*plan, budget);
 }
 

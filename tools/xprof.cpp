@@ -354,9 +354,10 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
 
   if (args.superblock) {
     // The profiler's trace hook keeps the superblock engine cold, so the
-    // fusion-coverage numbers come from a second, untraced pass. Its
-    // counters must land exactly on the profiled run's — fused bursts are
-    // bit-identical to the interpreter.
+    // fusion-coverage numbers come from a second, untraced pass with the
+    // core's in-loop region attribution attached. Its counters must land
+    // exactly on the profiled run's — fused bursts are bit-identical to
+    // the interpreter — and so must its region table.
     sim::CoreConfig sb_cfg = cfg;
     sb_cfg.reference_dispatch = false;
     sb_cfg.superblock = true;
@@ -366,15 +367,18 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
     sim::Core sb_core(sb_mem, sb_cfg);
     sb_core.reset(kernel.program.entry(),
                   kernel.program.base() + kernel.program.size_bytes());
+    sb_core.set_region_attribution(kernel.regions.build_index(),
+                                   kernel.regions.size());
     sb_core.run(600'000'000);
 
     const sim::SuperblockStats& sb = sb_core.superblock_stats();
     const sim::PerfCounters& sp = sb_core.perf();
-    std::printf("\nsuperblock engine (untraced pass):\n");
+    std::printf("\nsuperblock engine (untraced pass, regions attributed):\n");
     std::printf("  %-22s %12llu\n", "blocks compiled",
                 static_cast<unsigned long long>(sb.blocks_compiled));
-    std::printf("  %-22s %12llu\n", "compile rejects",
-                static_cast<unsigned long long>(sb.compile_rejects));
+    std::printf("  %-22s %12llu  (region rejects %llu)\n", "compile rejects",
+                static_cast<unsigned long long>(sb.compile_rejects),
+                static_cast<unsigned long long>(sb.region_rejects));
     std::printf("  %-22s %12llu  (rejects %llu)\n", "bursts entered",
                 static_cast<unsigned long long>(sb.entries),
                 static_cast<unsigned long long>(sb.entry_rejects));
@@ -398,6 +402,20 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
                    static_cast<unsigned long long>(sp.cycles),
                    static_cast<unsigned long long>(perf.cycles));
       ok = false;
+    }
+    const std::vector<obs::RegionStat> traced = prof.region_stats();
+    const std::vector<obs::RegionStat> attributed =
+        obs::attributed_region_stats(sb_core, kernel.regions);
+    for (size_t i = 0; args.check && i < traced.size(); ++i) {
+      if (!(traced[i].stat == attributed[i].stat)) {
+        std::fprintf(stderr,
+                     "xprof: region %s: attributed %llu cycles, profiled "
+                     "%llu\n",
+                     traced[i].name.c_str(),
+                     static_cast<unsigned long long>(attributed[i].stat.cycles),
+                     static_cast<unsigned long long>(traced[i].stat.cycles));
+        ok = false;
+      }
     }
     obs::add_superblock_stats(reg, "sim.superblock", sb, sp.instructions);
   }
