@@ -20,7 +20,6 @@
 
 #include "bench_util.hpp"
 #include "cluster/parallel_conv.hpp"
-#include "qnn/pack.hpp"
 
 using namespace xpulp;
 using namespace xpulp::bench;
@@ -40,30 +39,20 @@ struct Measurement {
 
 /// One paper-layer cluster workload, planned once and re-run many times.
 struct ClusterWorkload {
-  unsigned bits = 0;
   int cores = 0;
-  qnn::ConvSpec spec;
+  kernels::ConvLayerData data;
   std::vector<xasm::Program> programs;
   kernels::ConvMemLayout layout;
-  std::vector<u8> packed_input, packed_weights, packed_thresholds;
 };
 
 ClusterWorkload make_workload(const kernels::ConvLayerData& data,
-                              ConvVariant v, unsigned bits, int cores) {
+                              ConvVariant v, int cores) {
   ClusterWorkload w;
-  w.bits = bits;
   w.cores = cores;
-  w.spec = data.spec;
-  const auto kernels = cluster::make_parallel_conv_kernels(w.spec, v, cores);
-  for (const auto& k : kernels) {
-    w.layout = k.layout;
-    w.programs.push_back(k.program);
-  }
-  w.packed_input = qnn::pack_tensor(data.input, w.spec.in_bits);
-  w.packed_weights = qnn::pack_filter_bank(data.weights, w.spec.w_bits);
-  if (w.spec.out_bits != 8) {
-    w.packed_thresholds = data.thresholds.serialize();
-  }
+  w.data = data;
+  const auto kernels = cluster::make_parallel_conv_kernels(data.spec, v, cores);
+  w.layout = kernels.front().layout;  // shared by every core's program
+  for (const auto& k : kernels) w.programs.push_back(k.program);
   return w;
 }
 
@@ -79,11 +68,7 @@ cluster::ClusterStats one_rep(const ClusterWorkload& w,
   cfg.core.superblock = true;
   cfg.scheduler = sched;
   cluster::Cluster cl(cfg);
-  cl.memory().write_block(w.layout.input, w.packed_input);
-  cl.memory().write_block(w.layout.weights, w.packed_weights);
-  if (!w.packed_thresholds.empty()) {
-    cl.memory().write_block(w.layout.thresholds, w.packed_thresholds);
-  }
+  kernels::load_conv_data(w.data, w.layout, cl.memory());
   cl.load(w.programs);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -95,11 +80,8 @@ cluster::ClusterStats one_rep(const ClusterWorkload& w,
   }
   if (out_burst) *out_burst = cl.burst_stats();
   if (out_output) {
-    std::vector<u8> out_bytes(w.layout.output_bytes);
-    cl.memory().read_block(w.layout.output, out_bytes);
-    *out_output = qnn::unpack_tensor(
-        out_bytes, {w.spec.out_h(), w.spec.out_w(), w.spec.out_c},
-        w.spec.out_bits, /*is_signed=*/false);
+    *out_output =
+        kernels::read_conv_output(w.data.spec, w.layout, cl.memory());
   }
   return stats;
 }
@@ -213,7 +195,7 @@ int main(int argc, char** argv) {
     std::printf("%7s %11s %9s %11s %9s %9s %8s %7s\n", "cores", "ref-MIPS",
                 "ref-s", "burst-MIPS", "burst-s", "speedup", "burst%", "check");
     for (const int n : {1, 2, 4, 8}) {
-      const ClusterWorkload w = make_workload(data, v, bits, n);
+      const ClusterWorkload w = make_workload(data, v, n);
       const SchedResults r = measure_schedulers(w, gold);
       const double speedup =
           r.ref.mips() > 0 ? r.burst.mips() / r.ref.mips() : 0;

@@ -20,7 +20,6 @@
 #include "mem/memory.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "qnn/pack.hpp"
 #include "sim/core.hpp"
 
 using namespace xpulp;
@@ -59,14 +58,7 @@ Workload make_workload(unsigned bits, ConvVariant v, sim::CoreConfig cfg) {
              mem::Memory{},
              std::move(cfg)};
   w.kernel.program.load(w.pristine);
-  w.pristine.write_block(w.kernel.layout.input,
-                         qnn::pack_tensor(data.input, spec.in_bits));
-  w.pristine.write_block(w.kernel.layout.weights,
-                         qnn::pack_filter_bank(data.weights, spec.w_bits));
-  if (spec.out_bits != 8) {
-    w.pristine.write_block(w.kernel.layout.thresholds,
-                           data.thresholds.serialize());
-  }
+  kernels::load_conv_data(data, w.kernel.layout, w.pristine);
   return w;
 }
 

@@ -3,7 +3,6 @@
 #include <array>
 
 #include "common/rng.hpp"
-#include "qnn/pack.hpp"
 
 namespace xpulp::ckpt {
 
@@ -55,7 +54,6 @@ struct Workload {
 struct ReferenceRun {
   u64 instructions = 0;
   std::vector<u8> final_image;
-  std::vector<u8> output_bytes;
 };
 
 void load_workload(const Workload& wl, mem::Memory& mem) {
@@ -93,15 +91,10 @@ ReferenceRun make_reference(const Workload& wl, const CampaignConfig& cfg) {
   ref.instructions = core.perf().instructions;
   ref.final_image.resize(mem.size());
   mem.read_block(0, ref.final_image);
-  ref.output_bytes.resize(wl.kernel.layout.output_bytes);
-  mem.read_block(wl.kernel.layout.output, ref.output_bytes);
 
   // The campaign's ground truth must itself be correct.
-  const qnn::ConvSpec& spec = wl.data.spec;
-  const qnn::Tensor out = qnn::unpack_tensor(
-      ref.output_bytes, {spec.out_h(), spec.out_w(), spec.out_c},
-      spec.out_bits, /*is_signed=*/false);
-  if (out != wl.golden) {
+  if (kernels::read_conv_output(wl.data.spec, wl.kernel.layout, mem) !=
+      wl.golden) {
     throw CkptError("reference run output disagrees with golden model");
   }
   return ref;
@@ -189,9 +182,11 @@ Detector check_end_state(const sim::Core& core, const mem::Memory& mem,
   if (!sim::perf_invariant_violation(core.perf()).empty()) {
     return Detector::kPerfInvariant;
   }
-  std::vector<u8> out(wl.kernel.layout.output_bytes);
-  mem.read_block(wl.kernel.layout.output, out);
-  if (out != ref.output_bytes) return Detector::kOutputMismatch;
+  // The reference run's output is the golden tensor (make_reference).
+  if (kernels::read_conv_output(wl.data.spec, wl.kernel.layout, mem) !=
+      wl.golden) {
+    return Detector::kOutputMismatch;
+  }
   std::vector<u8> image(mem.size());
   mem.read_block(0, image);
   if (image != ref.final_image) return Detector::kMemScrub;

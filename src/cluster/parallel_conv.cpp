@@ -1,7 +1,6 @@
 #include "cluster/parallel_conv.hpp"
 
 #include "common/error.hpp"
-#include "qnn/pack.hpp"
 
 namespace xpulp::cluster {
 
@@ -51,26 +50,18 @@ ParallelConvResult run_parallel_conv(const ConvLayerData& data,
                                      const ClusterInstrument& instrument,
                                      const ClusterInstrument& after_run) {
   const qnn::ConvSpec& spec = data.spec;
+  Cluster cluster(cfg);  // rejects a bad core count before any planning
 
   // Generate one program per core over its row slice. The kernels stay
-  // alive so the instrument hook can read their region maps.
+  // alive so the instrument hook can read their region maps; all of them
+  // share one planned layout.
   std::vector<ConvKernel> kernels =
       make_parallel_conv_kernels(spec, v, cfg.num_cores);
+  const ConvMemLayout& layout = kernels.front().layout;
   std::vector<xasm::Program> programs;
-  ConvMemLayout layout{};
-  for (const ConvKernel& k : kernels) {
-    layout = k.layout;
-    programs.push_back(k.program);
-  }
+  for (const ConvKernel& k : kernels) programs.push_back(k.program);
 
-  Cluster cluster(cfg);
-  mem::Memory& mem = cluster.memory();
-  mem.write_block(layout.input, qnn::pack_tensor(data.input, spec.in_bits));
-  mem.write_block(layout.weights,
-                  qnn::pack_filter_bank(data.weights, spec.w_bits));
-  if (spec.out_bits != 8) {
-    mem.write_block(layout.thresholds, data.thresholds.serialize());
-  }
+  kernels::load_conv_data(data, layout, cluster.memory());
   cluster.load(programs);
   if (instrument) instrument(cluster, kernels);
 
@@ -79,11 +70,7 @@ ParallelConvResult run_parallel_conv(const ConvLayerData& data,
   res.macs = spec.macs();
   if (after_run) after_run(cluster, kernels);
 
-  std::vector<u8> out_bytes(layout.output_bytes);
-  mem.read_block(layout.output, out_bytes);
-  res.output = qnn::unpack_tensor(
-      out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
-      /*is_signed=*/false);
+  res.output = kernels::read_conv_output(spec, layout, cluster.memory());
   return res;
 }
 

@@ -1,7 +1,9 @@
 // Row-partitioned parallel convolution on the cluster: each core runs the
 // PULP-NN kernel over a disjoint slice of output rows, with a private
 // im2col buffer slot; input, weights, thresholds, and the output tensor
-// live once in the shared TCDM.
+// live once in the shared TCDM, loaded and read back through the shared
+// layer image (kernels::load_conv_data / read_conv_output). Every variant
+// runs, mixed-precision layers (grouped weights) included.
 #pragma once
 
 #include <functional>

@@ -135,11 +135,11 @@ struct Gen {
   unsigned in_bits() const { return spec.in_bits; }
 
   /// Elements consumed per inner-loop iteration: one 32-bit word of packed
-  /// weights (32 / w_bits), except mixed kernels which pace on the
-  /// *activation* word (32 / in_bits lanes; the grouped weight word covers
-  /// the same lanes in its low bits).
+  /// weights (32 / w_bits), except grouped (mixed) kernels which pace on
+  /// the *activation* word (32 / in_bits lanes; the grouped weight word
+  /// covers the same lanes in its low bits).
   unsigned elems_per_iter() const {
-    return 32 / (is_mixed() ? spec.in_bits : spec.w_bits);
+    return 32 / (grouped_weights(spec) ? spec.in_bits : spec.w_bits);
   }
   unsigned inner_iters() const {
     return (static_cast<unsigned>(spec.filter_elems()) + elems_per_iter() - 1) /

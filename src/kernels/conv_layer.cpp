@@ -52,12 +52,11 @@ namespace {
 
 constexpr addr_t align16(addr_t a) { return (a + 15u) & ~15u; }
 
-unsigned inner_iterations(const qnn::ConvSpec& s, ConvVariant v) {
-  // Mixed kernels consume one *activation* word per iteration (the weight
-  // word covers the same 32/in_bits lanes); uniform kernels consume one
-  // weight word.
-  const unsigned per_iter =
-      32 / (v == ConvVariant::kXpulpNN_Mixed ? s.in_bits : s.w_bits);
+unsigned inner_iterations(const qnn::ConvSpec& s) {
+  // Grouped (mixed) kernels consume one *activation* word per iteration
+  // (the weight word covers the same 32/in_bits lanes); uniform kernels
+  // consume one weight word.
+  const unsigned per_iter = 32 / (grouped_weights(s) ? s.in_bits : s.w_bits);
   return (static_cast<unsigned>(s.filter_elems()) + per_iter - 1) / per_iter;
 }
 
@@ -74,17 +73,23 @@ std::pair<i32, i32> weight_range(unsigned bits) {
 
 }  // namespace
 
+bool grouped_weights(const qnn::ConvSpec& spec) {
+  // Only kXpulpNN_Mixed accepts unequal widths; the generator rejects them
+  // for every uniform variant.
+  return spec.in_bits != spec.w_bits;
+}
+
 ConvMemLayout ConvMemLayout::plan(const qnn::ConvSpec& spec, ConvVariant v,
                                   addr_t data_base, int buffer_slots) {
   ConvMemLayout l;
   l.code = 0;
   l.filter_stride =
-      v == ConvVariant::kXpulpNN_Mixed
+      grouped_weights(spec)
           ? qnn::packed_filter_stride_grouped(spec.filter_elems(),
                                               spec.in_bits)
           : qnn::packed_filter_stride(spec.filter_elems(), spec.w_bits);
 
-  const unsigned iters = inner_iterations(spec, v);
+  const unsigned iters = inner_iterations(spec);
   const bool unpacked_buf = (v == ConvVariant::kXpulpV2_Sub ||
                              v == ConvVariant::kXpulpV2_SubShf);
   l.buf_bytes = unpacked_buf ? iters * (32 / spec.w_bits) : iters * 4;
@@ -199,23 +204,35 @@ qnn::Tensor ConvLayerData::golden() const {
 
 void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,
                     mem::Memory& mem) {
+  load_conv_data(data, layout, mem, mem, layout.weights);
+}
+
+void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,
+                    mem::Memory& mem, mem::Memory& weight_mem,
+                    addr_t weight_addr) {
   const qnn::ConvSpec& spec = data.spec;
   const auto in_bytes = qnn::pack_tensor(data.input, spec.in_bits);
   mem.write_block(layout.input, in_bytes);
-  // Mixed-precision layers (in_bits != w_bits; only the kXpulpNN_Mixed
-  // variant accepts them) store weights lane-aligned grouped so one weight
-  // word covers one activation word. Uniform layers pack flat.
   const auto w_bytes =
-      spec.in_bits != spec.w_bits
+      grouped_weights(spec)
           ? qnn::pack_filter_bank_grouped(data.weights, spec.in_bits,
                                           spec.w_bits)
           : qnn::pack_filter_bank(data.weights, spec.w_bits);
-  mem.write_block(layout.weights, w_bytes);
+  weight_mem.write_block(weight_addr, w_bytes);
   if (spec.out_bits != 8) {
     const auto t_bytes = data.thresholds.serialize();
     mem.write_block(layout.thresholds, t_bytes);
   }
   mem.reset_stats();
+}
+
+qnn::Tensor read_conv_output(const qnn::ConvSpec& spec,
+                             const ConvMemLayout& layout,
+                             const mem::Memory& mem) {
+  std::vector<u8> bytes(layout.output_bytes);
+  mem.read_block(layout.output, bytes);
+  return qnn::unpack_tensor(bytes, {spec.out_h(), spec.out_w(), spec.out_c},
+                            spec.out_bits, /*is_signed=*/false);
 }
 
 ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
@@ -261,11 +278,7 @@ ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
       if (r.name == "quant") res.quant_cycles += r.stat.cycles;
     }
   }
-  std::vector<u8> out_bytes(kernel.layout.output_bytes);
-  mem.read_block(kernel.layout.output, out_bytes);
-  res.output = qnn::unpack_tensor(
-      out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
-      /*is_signed=*/false);
+  res.output = read_conv_output(spec, kernel.layout, mem);
   res.perf = core.perf();
   res.activity = core.dotp_unit().activity();
   res.mem_stats = mem.stats();

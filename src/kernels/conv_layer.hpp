@@ -168,10 +168,31 @@ struct ConvRunResult {
   }
 };
 
+// ---- The layer image (DESIGN.md §16): the one place that packs a layer
+// into guest memory and reads it back, for every execution path.
+
+/// True when a layer's weights are stored lane-aligned grouped (one weight
+/// word per activation word): the mixed-precision layers, whose activation
+/// and weight widths differ. Uniform layers pack flat. Decides both the
+/// planned filter stride and the weight packer.
+bool grouped_weights(const qnn::ConvSpec& spec);
+
 /// Pack and write a layer's tensors (input, weights, thresholds) into
 /// guest memory at the layout's addresses and reset the memory stats.
 void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,
                     mem::Memory& mem);
+
+/// As above, but the weight image (out_c filters, layout.filter_stride
+/// bytes apart) goes to `weight_mem` at `weight_addr` — the streamed path
+/// keeps it in external L2 and DMAs tiles into the TCDM.
+void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,
+                    mem::Memory& mem, mem::Memory& weight_mem,
+                    addr_t weight_addr);
+
+/// Read a layer's output tensor back from the layout's output region.
+qnn::Tensor read_conv_output(const qnn::ConvSpec& spec,
+                             const ConvMemLayout& layout,
+                             const mem::Memory& mem);
 
 /// Load data + kernel into a fresh memory image and run to completion on a
 /// core with the given configuration. Throws SimError on guest faults.

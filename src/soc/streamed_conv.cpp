@@ -1,7 +1,6 @@
 #include "soc/streamed_conv.hpp"
 
 #include "common/error.hpp"
-#include "qnn/pack.hpp"
 
 namespace xpulp::soc {
 
@@ -32,16 +31,13 @@ StreamedConvResult run_conv_streamed(const ConvLayerData& data,
   // what makes layers whose weights exceed the 512 kB TCDM runnable.
   ConvMemLayout layout = ConvMemLayout::plan(spec, v, kDataBase);
   const u32 tile_bytes = static_cast<u32>(tile_channels) * layout.filter_stride;
-  {
-    const u32 resident = layout.filter_stride * static_cast<u32>(spec.out_c);
-    const u32 pingpong = 2 * tile_bytes;
-    const u32 saved = (resident - pingpong + 15u) & ~15u;
-    if (pingpong < resident) {
-      layout.thresholds -= saved;
-      layout.buf0 -= saved;
-      layout.buf1 -= saved;
-      layout.output -= saved;
-    }
+  const u32 resident = layout.filter_stride * static_cast<u32>(spec.out_c);
+  if (2 * tile_bytes < resident) {
+    const u32 saved = (resident - 2 * tile_bytes + 15u) & ~15u;
+    layout.thresholds -= saved;
+    layout.buf0 -= saved;
+    layout.buf1 -= saved;
+    layout.output -= saved;
   }
   const addr_t buf[2] = {layout.weights, layout.weights + tile_bytes};
   if (layout.output + layout.output_bytes > mem::Memory::kDefaultSize) {
@@ -61,16 +57,11 @@ StreamedConvResult run_conv_streamed(const ConvLayerData& data,
     programs.push_back(kernels::generate_conv_kernel(spec, v, kDataBase, o));
   }
 
-  // External L2 holds the full packed weight image.
-  const auto w_bytes = qnn::pack_filter_bank(data.weights, spec.w_bits);
-  mem::Memory l2(static_cast<u32>((w_bytes.size() + 0xfffu) & ~0xfffu));
-  l2.write_block(0, w_bytes);
-
+  // External L2 holds the full packed weight image; the TCDM holds the
+  // rest of the layer.
+  mem::Memory l2((resident + 0xfffu) & ~0xfffu);
   mem::Memory tcdm;
-  tcdm.write_block(layout.input, qnn::pack_tensor(data.input, spec.in_bits));
-  if (spec.out_bits != 8) {
-    tcdm.write_block(layout.thresholds, data.thresholds.serialize());
-  }
+  kernels::load_conv_data(data, layout, tcdm, l2, /*weight_addr=*/0);
   for (const auto& k : programs) k.program.load(tcdm);
 
   Udma dma(l2, tcdm, dma_bytes_per_cycle);
@@ -197,11 +188,7 @@ StreamedConvResult run_conv_streamed(const ConvLayerData& data,
     }
   }
 
-  std::vector<u8> out_bytes(layout.output_bytes);
-  tcdm.read_block(layout.output, out_bytes);
-  res.output = qnn::unpack_tensor(
-      out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
-      /*is_signed=*/false);
+  res.output = kernels::read_conv_output(spec, layout, tcdm);
   return res;
 }
 

@@ -3,6 +3,9 @@
 // time into a TCDM ping-pong buffer while the core computes the previous
 // tile. This is the standard PULP execution scheme for layers that exceed
 // L1, and an extension the paper's SoC (Fig. 5: µDMA + TCDM) enables.
+// The L2 weight image and the TCDM tensors come from the shared layer
+// image (kernels::load_conv_data), so every variant streams, mixed-precision
+// layers (grouped weights, tiles of whole grouped filters) included.
 #pragma once
 
 #include "kernels/conv_layer.hpp"

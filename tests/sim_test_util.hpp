@@ -6,6 +6,7 @@
 #include <functional>
 
 #include "mem/memory.hpp"
+#include "qnn/ref_layers.hpp"
 #include "sim/core.hpp"
 #include "xasm/assembler.hpp"
 
@@ -40,6 +41,20 @@ inline RunResult run_program(
   r.perf = core.perf();
   r.activity = core.dotp_unit().activity();
   return r;
+}
+
+/// The paper layer with `in_bits` activations against `w_bits` grouped
+/// weights, for the mixed-precision cluster and streamed tests. 4-bit
+/// weights are symmetric, so the 8-bit shift/clip output spreads over its
+/// codes. 2-bit weights ([-2, 1]) push every accumulator negative and would
+/// clip an 8-bit output to all zeros, so those layers requantize to 4 bits
+/// through calibrated thresholds instead.
+inline qnn::ConvSpec mixed_paper_layer(unsigned in_bits, unsigned w_bits) {
+  qnn::ConvSpec s = qnn::ConvSpec::paper_layer(8);
+  s.in_bits = in_bits;
+  s.w_bits = w_bits;
+  s.out_bits = w_bits == 2 ? 4 : 8;
+  return s;
 }
 
 }  // namespace xpulp::test

@@ -17,7 +17,6 @@
 #include "kernels/conv_layer.hpp"
 #include "kernels/gp_workload.hpp"
 #include "mem/memory.hpp"
-#include "qnn/pack.hpp"
 #include "sim/core.hpp"
 #include "xasm/assembler.hpp"
 
@@ -556,13 +555,7 @@ TEST(CkptDiff, ClusterMidBurstSnapshotsWithSuperblockConv) {
   ref_cfg.scheduler = cluster::SchedulerMode::kReference;
 
   const auto load_cluster = [&](cluster::Cluster& cl) {
-    cl.memory().write_block(layout.input,
-                            qnn::pack_tensor(data.input, spec.in_bits));
-    cl.memory().write_block(layout.weights,
-                            qnn::pack_filter_bank(data.weights, spec.w_bits));
-    if (spec.out_bits != 8) {
-      cl.memory().write_block(layout.thresholds, data.thresholds.serialize());
-    }
+    kernels::load_conv_data(data, layout, cl.memory());
     cl.load(progs);
   };
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "cluster/parallel_conv.hpp"
+#include "sim_test_util.hpp"
 #include "xasm/assembler.hpp"
 
 namespace xpulp::cluster {
@@ -182,24 +183,33 @@ TEST(Cluster, RejectsBadConfigs) {
   EXPECT_THROW(ok.load({}), SimError);  // wrong program count
 }
 
+// Uniform cases (w_bits == 0) run a small layer at `bits`; mixed cases run
+// test::mixed_paper_layer(bits, w_bits). The 16-bit widths keep the uniform
+// cases' parameter bytes, and so their test names, unchanged.
 struct ParCase {
-  unsigned bits;
+  u16 bits;
+  u16 w_bits;
   int cores;
 };
 
 class ParallelConv : public ::testing::TestWithParam<ParCase> {};
 
 TEST_P(ParallelConv, BitExactAndFaster) {
-  const auto [bits, cores] = GetParam();
+  const auto [bits, w_bits, cores] = GetParam();
   qnn::ConvSpec spec;
-  spec.in_h = spec.in_w = 8;
-  spec.in_c = 16;
-  spec.out_c = 8;
-  spec.in_bits = spec.w_bits = spec.out_bits = bits;
+  ConvVariant v = (bits == 8) ? ConvVariant::kXpulpV2_8b
+                              : ConvVariant::kXpulpNN_HwQ;
+  if (w_bits == 0) {
+    spec.in_h = spec.in_w = 8;
+    spec.in_c = 16;
+    spec.out_c = 8;
+    spec.in_bits = spec.w_bits = spec.out_bits = bits;
+  } else {
+    spec = test::mixed_paper_layer(bits, w_bits);
+    v = ConvVariant::kXpulpNN_Mixed;
+  }
   const auto data = ConvLayerData::random(spec, 0xc1u + bits);
   const auto gold = data.golden();
-  const ConvVariant v = (bits == 8) ? ConvVariant::kXpulpV2_8b
-                                    : ConvVariant::kXpulpNN_HwQ;
 
   ClusterConfig cfg;
   cfg.num_cores = cores;
@@ -226,12 +236,17 @@ TEST_P(ParallelConv, BitExactAndFaster) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelConv,
-    ::testing::Values(ParCase{4, 1}, ParCase{4, 2}, ParCase{4, 4},
-                      ParCase{4, 8}, ParCase{2, 4}, ParCase{8, 4},
-                      ParCase{2, 8}, ParCase{4, 16}),
+    ::testing::Values(ParCase{4, 0, 1}, ParCase{4, 0, 2}, ParCase{4, 0, 4},
+                      ParCase{4, 0, 8}, ParCase{2, 0, 4}, ParCase{8, 0, 4},
+                      ParCase{2, 0, 8}, ParCase{4, 0, 16},
+                      // Mixed paper layers: 8x4, 8x2, 4x2.
+                      ParCase{8, 4, 2}, ParCase{8, 4, 8}, ParCase{8, 2, 2},
+                      ParCase{8, 2, 8}, ParCase{4, 2, 2}, ParCase{4, 2, 8}),
     [](const ::testing::TestParamInfo<ParCase>& info) {
-      return "b" + std::to_string(info.param.bits) + "_c" +
-             std::to_string(info.param.cores);
+      const ParCase& c = info.param;
+      return "b" + std::to_string(c.bits) +
+             (c.w_bits ? "w" + std::to_string(c.w_bits) : "") + "_c" +
+             std::to_string(c.cores);
     });
 
 TEST(ParallelConv, UnevenRowSplitCoversAllRows) {

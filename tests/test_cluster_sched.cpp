@@ -14,6 +14,7 @@
 #include "cluster/parallel_conv.hpp"
 #include "common/rng.hpp"
 #include "obs/sampler.hpp"
+#include "sim_test_util.hpp"
 #include "xasm/assembler.hpp"
 
 namespace xpulp::cluster {
@@ -154,24 +155,31 @@ void expect_captures_identical(const RunCapture& ref, const RunCapture& burst,
 }
 
 // ---------------------------------------------------------------------------
-// Paper conv workloads: 1/2/4/8 cores x {8-bit XpulpV2, 4-bit XpulpNN HwQ}
-// x {fast, superblock} dispatch. The reference scheduler steps per
+// Paper conv workloads: 1/2/4/8 cores x {8-bit XpulpV2, 4-bit XpulpNN HwQ},
+// plus the 8x4/8x2/4x2 mixed layers at 2 and 8 cores, x {fast, superblock}
+// dispatch. The reference scheduler steps per
 // instruction, so its result is dispatch-independent (test_dispatch_diff);
 // one reference run per (bits, cores) serves both dispatch comparisons.
 
+// w_bits == 0: the uniform paper layer at `bits`; otherwise
+// test::mixed_paper_layer(bits, w_bits). The 16-bit widths keep the uniform
+// cases' parameter bytes, and so their test names, unchanged.
 struct ConvCase {
-  unsigned bits;
+  u16 bits;
+  u16 w_bits;
   int cores;
 };
 
 class BurstConvDiff : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(BurstConvDiff, BitIdenticalAcrossSchedulers) {
-  const auto [bits, cores] = GetParam();
-  const auto spec = qnn::ConvSpec::paper_layer(bits);
-  const auto data = ConvLayerData::random(spec, 12345);
-  const ConvVariant v = (bits == 8) ? ConvVariant::kXpulpV2_8b
+  const auto [bits, w_bits, cores] = GetParam();
+  const auto spec = w_bits ? test::mixed_paper_layer(bits, w_bits)
+                           : qnn::ConvSpec::paper_layer(bits);
+  const ConvVariant v = w_bits      ? ConvVariant::kXpulpNN_Mixed
+                        : bits == 8 ? ConvVariant::kXpulpV2_8b
                                     : ConvVariant::kXpulpNN_HwQ;
+  const auto data = ConvLayerData::random(spec, 12345);
   const auto gold = data.golden();
 
   const auto run_one = [&](SchedulerMode mode, bool superblock,
@@ -221,12 +229,17 @@ TEST_P(BurstConvDiff, BitIdenticalAcrossSchedulers) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperLayers, BurstConvDiff,
-    ::testing::Values(ConvCase{8, 1}, ConvCase{8, 2}, ConvCase{8, 4},
-                      ConvCase{8, 8}, ConvCase{4, 1}, ConvCase{4, 2},
-                      ConvCase{4, 4}, ConvCase{4, 8}),
+    ::testing::Values(ConvCase{8, 0, 1}, ConvCase{8, 0, 2}, ConvCase{8, 0, 4},
+                      ConvCase{8, 0, 8}, ConvCase{4, 0, 1}, ConvCase{4, 0, 2},
+                      ConvCase{4, 0, 4}, ConvCase{4, 0, 8},
+                      // Mixed paper layers: 8x4, 8x2, 4x2.
+                      ConvCase{8, 4, 2}, ConvCase{8, 4, 8}, ConvCase{8, 2, 2},
+                      ConvCase{8, 2, 8}, ConvCase{4, 2, 2}, ConvCase{4, 2, 8}),
     [](const ::testing::TestParamInfo<ConvCase>& info) {
-      return "b" + std::to_string(info.param.bits) + "_c" +
-             std::to_string(info.param.cores);
+      const ConvCase& c = info.param;
+      return "b" + std::to_string(c.bits) +
+             (c.w_bits ? "w" + std::to_string(c.w_bits) : "") + "_c" +
+             std::to_string(c.cores);
     });
 
 // ---------------------------------------------------------------------------

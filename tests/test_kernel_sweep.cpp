@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "kernels/conv_layer.hpp"
-#include "qnn/pack.hpp"
 
 namespace xpulp::kernels {
 namespace {
@@ -166,20 +165,15 @@ TEST(FailureInjection, CorruptedThresholdsChangeTheOutput) {
   ConvKernel kernel = generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ);
   mem::Memory mem;
   kernel.program.load(mem);
-  mem.write_block(kernel.layout.input, qnn::pack_tensor(data.input, 4));
-  mem.write_block(kernel.layout.weights,
-                  qnn::pack_filter_bank(data.weights, 4));
-  auto tbytes = data.thresholds.serialize();
-  tbytes[3 * 32 + 1] ^= 0x40;  // channel 3, root node, high byte
-  mem.write_block(kernel.layout.thresholds, tbytes);
+  load_conv_data(data, kernel.layout, mem);
+  // High byte of channel 3's root node (32 bytes of thresholds per channel).
+  const addr_t root_hi = kernel.layout.thresholds + 3 * 32 + 1;
+  mem.store_u8(root_hi, static_cast<u8>(mem.load_u8(root_hi) ^ 0x40u));
 
   sim::Core core(mem);
   core.reset(kernel.program.entry());
   core.run();
-  std::vector<u8> out(kernel.layout.output_bytes);
-  mem.read_block(kernel.layout.output, out);
-  const auto t = qnn::unpack_tensor(out, {s.out_h(), s.out_w(), s.out_c}, 4,
-                                    false);
+  const auto t = read_conv_output(s, kernel.layout, mem);
   int diffs = 0;
   for (int i = 0; i < gold.elems(); ++i) {
     if (t.flat(i) != gold.flat(i)) ++diffs;
@@ -209,9 +203,7 @@ TEST(FailureInjection, MemoryContentionChangesTimingNotResults) {
   ConvKernel kernel = generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ);
   mem::Memory mem;
   kernel.program.load(mem);
-  mem.write_block(kernel.layout.input, qnn::pack_tensor(data.input, 4));
-  mem.write_block(kernel.layout.weights, qnn::pack_filter_bank(data.weights, 4));
-  mem.write_block(kernel.layout.thresholds, data.thresholds.serialize());
+  load_conv_data(data, kernel.layout, mem);
   mem.set_contention_period(3);  // heavy interconnect pressure
 
   sim::Core core(mem);
@@ -219,10 +211,7 @@ TEST(FailureInjection, MemoryContentionChangesTimingNotResults) {
   core.run();
   EXPECT_GT(core.perf().mem_stall_cycles, 1000u);
 
-  std::vector<u8> out(kernel.layout.output_bytes);
-  mem.read_block(kernel.layout.output, out);
-  const auto t = qnn::unpack_tensor(out, {s.out_h(), s.out_w(), s.out_c}, 4,
-                                    false);
+  const auto t = read_conv_output(s, kernel.layout, mem);
   for (int i = 0; i < gold.elems(); ++i) {
     ASSERT_EQ(t.flat(i), gold.flat(i));
   }

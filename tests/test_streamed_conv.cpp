@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "kernels/linear.hpp"
+#include "sim_test_util.hpp"
 #include "soc/streamed_conv.hpp"
 
 namespace xpulp::soc {
@@ -34,27 +35,55 @@ TEST(Udma, TransferCycleModel) {
   EXPECT_EQ(dma.transfers(), 1u);
 }
 
-class StreamedTiles : public ::testing::TestWithParam<int> {};
+// Uniform cases (w_bits == 0) stream the small 4-bit layer; mixed cases
+// stream test::mixed_paper_layer(in_bits, w_bits).
+struct TileCase {
+  int tile;
+  unsigned in_bits = 4;
+  unsigned w_bits = 0;
+};
+
+// Uniform cases print as their bare tile size, which keeps their test
+// names stable.
+void PrintTo(const TileCase& c, std::ostream* os) {
+  *os << c.tile;
+  if (c.w_bits) *os << " (" << c.in_bits << "x" << c.w_bits << " mixed)";
+}
+
+class StreamedTiles : public ::testing::TestWithParam<TileCase> {};
 
 TEST_P(StreamedTiles, BitExactForAnyTileSize) {
-  const int tile = GetParam();
-  const auto data = ConvLayerData::random(small_spec(4), 0x5eed);
+  const TileCase c = GetParam();
+  const qnn::ConvSpec spec =
+      c.w_bits ? test::mixed_paper_layer(c.in_bits, c.w_bits) : small_spec(4);
+  const ConvVariant v =
+      c.w_bits ? ConvVariant::kXpulpNN_Mixed : ConvVariant::kXpulpNN_HwQ;
+  const auto data = ConvLayerData::random(spec, 0x5eed);
   const auto gold = data.golden();
   for (const bool dbuf : {false, true}) {
-    const auto res = run_conv_streamed(data, ConvVariant::kXpulpNN_HwQ,
-                                       sim::CoreConfig::extended(), tile, dbuf);
-    ASSERT_EQ(res.tiles, 16 / tile);
+    const auto res = run_conv_streamed(data, v, sim::CoreConfig::extended(),
+                                       c.tile, dbuf);
+    ASSERT_EQ(res.tiles, spec.out_c / c.tile);
     for (int i = 0; i < gold.elems(); ++i) {
-      ASSERT_EQ(res.output.flat(i), gold.flat(i)) << "tile=" << tile;
+      ASSERT_EQ(res.output.flat(i), gold.flat(i))
+          << "tile=" << c.tile << " dbuf=" << dbuf;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(TileSizes, StreamedTiles,
-                         ::testing::Values(2, 4, 8, 16),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    TileSizes, StreamedTiles,
+    ::testing::Values(TileCase{2}, TileCase{4}, TileCase{8}, TileCase{16},
+                      // Mixed paper layers: 8x4, 8x2, 4x2.
+                      TileCase{16, 8, 4}, TileCase{16, 8, 2},
+                      TileCase{16, 4, 2}),
+    [](const ::testing::TestParamInfo<TileCase>& info) {
+      const TileCase& c = info.param;
+      return (c.w_bits ? "a" + std::to_string(c.in_bits) + "w" +
+                             std::to_string(c.w_bits) + "_"
+                       : std::string()) +
+             "t" + std::to_string(c.tile);
+    });
 
 TEST(StreamedConv, MatchesResidentKernelCycles) {
   // Per-tile compute sums to roughly the resident kernel (the channel loop

@@ -12,7 +12,6 @@
 #include "analysis/race.hpp"
 #include "analysis/shadow.hpp"
 #include "cluster/parallel_conv.hpp"
-#include "qnn/pack.hpp"
 
 namespace xpulp::analysis {
 namespace {
@@ -177,12 +176,7 @@ TEST(XraceShadow, InjectedOverlapCaughtAtExactPcPairAndCycle) {
   cluster::ClusterConfig cfg;
   cfg.num_cores = 2;
   cluster::Cluster cl(cfg);
-  cl.memory().write_block(ks[0].layout.input,
-                          qnn::pack_tensor(data.input, s.in_bits));
-  cl.memory().write_block(ks[0].layout.weights,
-                          qnn::pack_filter_bank(data.weights, s.w_bits));
-  cl.memory().write_block(ks[0].layout.thresholds,
-                          data.thresholds.serialize());
+  kernels::load_conv_data(data, ks[0].layout, cl.memory());
   ShadowMemory shadow;
   attach_shadow(cl, shadow);
   cl.load(ps);

@@ -12,8 +12,6 @@
 // reflects the --min-detected / --min-recovered gates so CI can assert
 // campaign quality directly.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,24 +19,20 @@
 #include "kernels/conv_layer.hpp"
 #include "obs/registry.hpp"
 #include "qnn/ref_layers.hpp"
+#include "tool_cli.hpp"
 
 namespace {
 
 using namespace xpulp;
-using kernels::ConvVariant;
 
-struct Args {
+struct Args : tools::LayerArgs {
   int inject = 100;        // trials
   u64 seed = 1;
   int retry = 2;           // restore-and-retry attempts per detected fault
   bool fallback_isa = true;
   u64 ckpt_every = 5000;   // instructions between checkpoints
-  unsigned bits = 4;
-  ConvVariant variant = ConvVariant::kXpulpNN_HwQ;
   std::vector<ckpt::FaultKind> kinds;  // empty = tcdm only
   unsigned persistent_chance = 64;     // x/256 stuck-at probability
-  bool small = false;
-  std::string json_path;
   double min_detected = -1.0;   // gate on detection_rate when >= 0
   double min_recovered = -1.0;  // gate on recovery_rate when >= 0
 };
@@ -63,16 +57,6 @@ void usage() {
       "  --min-recovered R  exit 1 unless recovery rate >= R (0..1)");
 }
 
-bool parse_variant(const char* s, ConvVariant& v) {
-  if (!std::strcmp(s, "8b")) v = ConvVariant::kXpulpV2_8b;
-  else if (!std::strcmp(s, "sub")) v = ConvVariant::kXpulpV2_Sub;
-  else if (!std::strcmp(s, "subshf")) v = ConvVariant::kXpulpV2_SubShf;
-  else if (!std::strcmp(s, "swq")) v = ConvVariant::kXpulpNN_SwQ;
-  else if (!std::strcmp(s, "hwq")) v = ConvVariant::kXpulpNN_HwQ;
-  else return false;
-  return true;
-}
-
 bool parse_kinds(const char* s, std::vector<ckpt::FaultKind>& kinds) {
   std::string item;
   for (const char* p = s;; ++p) {
@@ -91,72 +75,38 @@ bool parse_kinds(const char* s, std::vector<ckpt::FaultKind>& kinds) {
 }
 
 bool parse_args(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string opt = argv[i];
-    const auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "xfault: %s needs a value\n", opt.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (opt == "--help" || opt == "-h") {
-      usage();
-      std::exit(0);
-    } else if (opt == "--inject") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.inject = std::atoi(v);
+  tools::OptionReader r("xfault", usage, argc, argv);
+  while (r.next()) {
+    const std::string& opt = r.opt();
+    if (r.layer_option(a)) continue;
+    if (opt == "--inject") {
+      r.count(a.inject);
     } else if (opt == "--seed") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.seed = std::strtoull(v, nullptr, 0);
+      r.count(a.seed);
     } else if (opt == "--retry") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.retry = std::atoi(v);
+      r.count(a.retry);
     } else if (opt == "--no-fallback-isa") {
       a.fallback_isa = false;
     } else if (opt == "--fallback-isa") {
       a.fallback_isa = true;  // the default; accepted for explicit scripts
     } else if (opt == "--ckpt-every") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.ckpt_every = std::strtoull(v, nullptr, 0);
-    } else if (opt == "--bits") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.bits = static_cast<unsigned>(std::atoi(v));
-    } else if (opt == "--variant") {
-      const char* v = need_value();
-      if (!v || !parse_variant(v, a.variant)) return false;
+      r.count(a.ckpt_every);
     } else if (opt == "--kinds") {
-      const char* v = need_value();
-      if (!v || !parse_kinds(v, a.kinds)) return false;
+      const char* v = r.value();
+      if (v && !parse_kinds(v, a.kinds)) {
+        r.reject(v, "a comma list of tcdm, reg, stall, isa");
+      }
     } else if (opt == "--persistent") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.persistent_chance = static_cast<unsigned>(std::atoi(v));
-    } else if (opt == "--small") {
-      a.small = true;
-    } else if (opt == "--json") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.json_path = v;
+      r.count(a.persistent_chance, 0, 256);
     } else if (opt == "--min-detected") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.min_detected = std::atof(v);
+      r.rate(a.min_detected);
     } else if (opt == "--min-recovered") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.min_recovered = std::atof(v);
+      r.rate(a.min_recovered);
     } else {
-      std::fprintf(stderr, "xfault: unknown option %s\n", opt.c_str());
-      return false;
+      r.reject();
     }
   }
-  return true;
+  return r.finish(a);
 }
 
 void print_report(const ckpt::CampaignReport& rep) {
@@ -190,10 +140,7 @@ void print_report(const ckpt::CampaignReport& rep) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
+  if (!parse_args(argc, argv, args)) return 2;
 
   ckpt::CampaignConfig cfg;
   cfg.seed = args.seed;
@@ -203,12 +150,7 @@ int main(int argc, char** argv) {
   cfg.fallback_isa = args.fallback_isa;
   cfg.persistent_chance = args.persistent_chance;
   if (!args.kinds.empty()) cfg.kinds = args.kinds;
-  cfg.spec = qnn::ConvSpec::paper_layer(args.bits);
-  if (args.small) {
-    cfg.spec.in_h = cfg.spec.in_w = 6;
-    cfg.spec.in_c = 16;
-    cfg.spec.out_c = 8;
-  }
+  cfg.spec = tools::layer_spec(args.bits, args.small);
   cfg.variant = args.variant;
 
   try {

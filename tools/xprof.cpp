@@ -13,9 +13,6 @@
 // region table per core.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,7 +20,6 @@
 #include "cluster/parallel_conv.hpp"
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
-#include "qnn/pack.hpp"
 #include "kernels/conv_layer.hpp"
 #include "obs/energy.hpp"
 #include "obs/profiler.hpp"
@@ -31,28 +27,18 @@
 #include "obs/timeline.hpp"
 #include "power/power_model.hpp"
 #include "qnn/ref_layers.hpp"
+#include "tool_cli.hpp"
 
 namespace {
 
 using namespace xpulp;
-using kernels::ConvVariant;
 
-struct Args {
-  unsigned bits = 4;
-  ConvVariant variant = ConvVariant::kXpulpNN_HwQ;
-  bool ri5cy_core = false;
+struct Args : tools::RunArgs {
   bool reference_dispatch = false;
   bool superblock = false;  // untraced second pass with fusion coverage
   bool hwloops = true;
-  bool small = false;       // small layer for smoke tests
-  bool check = true;        // verify output + reconciliation, exit 1 on fail
-  int cores = 1;            // >1: cluster mode
   int top = 10;
   u32 block = 64;
-  std::string trace_path;   // Chrome/Perfetto trace.json
-  std::string folded_path;  // collapsed stacks
-  std::string json_path;    // registry JSON
-  std::string csv_path;     // registry CSV
 };
 
 void usage() {
@@ -80,87 +66,26 @@ void usage() {
       "  --no-check         skip golden-output and reconciliation checks");
 }
 
-bool parse_variant(const char* s, ConvVariant& v) {
-  if (!std::strcmp(s, "8b")) v = ConvVariant::kXpulpV2_8b;
-  else if (!std::strcmp(s, "sub")) v = ConvVariant::kXpulpV2_Sub;
-  else if (!std::strcmp(s, "subshf")) v = ConvVariant::kXpulpV2_SubShf;
-  else if (!std::strcmp(s, "swq")) v = ConvVariant::kXpulpNN_SwQ;
-  else if (!std::strcmp(s, "hwq")) v = ConvVariant::kXpulpNN_HwQ;
-  else return false;
-  return true;
-}
-
 bool parse_args(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string opt = argv[i];
-    const auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "xprof: %s needs a value\n", opt.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (opt == "--help" || opt == "-h") {
-      usage();
-      std::exit(0);
-    } else if (opt == "--bits") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.bits = static_cast<unsigned>(std::atoi(v));
-    } else if (opt == "--variant") {
-      const char* v = need_value();
-      if (!v || !parse_variant(v, a.variant)) return false;
-    } else if (opt == "--core") {
-      const char* v = need_value();
-      if (!v) return false;
-      if (!std::strcmp(v, "ri5cy")) a.ri5cy_core = true;
-      else if (std::strcmp(v, "xpulpnn")) return false;
-    } else if (opt == "--reference") {
+  tools::OptionReader r("xprof", usage, argc, argv);
+  while (r.next()) {
+    const std::string& opt = r.opt();
+    if (r.run_option(a)) continue;
+    if (opt == "--reference") {
       a.reference_dispatch = true;
     } else if (opt == "--superblock") {
       a.superblock = true;
     } else if (opt == "--no-hwloops") {
       a.hwloops = false;
-    } else if (opt == "--small") {
-      a.small = true;
-    } else if (opt == "--check") {
-      a.check = true;  // the default; accepted for explicit CI invocations
-    } else if (opt == "--no-check") {
-      a.check = false;
-    } else if (opt == "--cores") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.cores = std::atoi(v);
     } else if (opt == "--top") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.top = std::atoi(v);
+      r.count(a.top);
     } else if (opt == "--block") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.block = static_cast<u32>(std::atoi(v));
-    } else if (opt == "--trace") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.trace_path = v;
-    } else if (opt == "--folded") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.folded_path = v;
-    } else if (opt == "--json") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.json_path = v;
-    } else if (opt == "--csv") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.csv_path = v;
+      r.count(a.block);
     } else {
-      std::fprintf(stderr, "xprof: unknown option %s\n", opt.c_str());
-      return false;
+      r.reject();
     }
   }
-  return true;
+  return r.finish(a);
 }
 
 double pct(u64 part, u64 whole) {
@@ -255,21 +180,10 @@ void print_hotspots(const obs::Profiler& prof, mem::Memory& mem, int top) {
   }
 }
 
-bool write_text_file(const std::string& path, const std::string& body,
-                     const char* what) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "xprof: cannot write %s to %s\n", what, path.c_str());
-    return false;
-  }
-  f << body;
-  std::printf("wrote %s: %s\n", what, path.c_str());
-  return true;
-}
-
-int run_single(const Args& args, const qnn::ConvSpec& spec,
-               const kernels::ConvLayerData& data, sim::CoreConfig cfg,
-               obs::Registry& reg, std::unique_ptr<obs::Timeline>& timeline) {
+int run_single(const Args& args, const kernels::ConvLayerData& data,
+               const sim::CoreConfig& cfg, obs::Registry& reg,
+               obs::Timeline* timeline) {
+  const qnn::ConvSpec& spec = data.spec;
   kernels::ConvGenOptions gopts;
   gopts.use_hwloops = args.hwloops;
   kernels::ConvKernel kernel =
@@ -286,7 +200,7 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
   obs::Profiler::Options popts;
   popts.block_instructions = args.block;
   if (timeline) {
-    popts.timeline = timeline.get();
+    popts.timeline = timeline;
     timeline->set_track_name(0, "core0");
   }
   obs::Profiler prof(core, kernel.regions, popts);
@@ -298,24 +212,8 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
     return 1;
   }
 
-  bool ok = true;
-  if (args.check) {
-    std::vector<u8> out_bytes(kernel.layout.output_bytes);
-    mem.read_block(kernel.layout.output, out_bytes);
-    const qnn::Tensor out = qnn::unpack_tensor(
-        out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
-        /*is_signed=*/false);
-    if (!(out == data.golden())) {
-      std::fprintf(stderr, "xprof: output does not match the golden model\n");
-      ok = false;
-    }
-    const std::string inv = sim::perf_invariant_violation(core.perf());
-    if (!inv.empty()) {
-      std::fprintf(stderr, "xprof: perf invariant violated: %s\n",
-                   inv.c_str());
-      ok = false;
-    }
-  }
+  bool ok = !args.check || tools::check_layer_run("xprof", data, kernel.layout,
+                                                  mem, core.perf());
 
   const sim::PerfCounters& perf = core.perf();
   std::printf("\n== %s, %u-bit, %dx%dx%d -> %d (%s dispatch) ==\n",
@@ -448,16 +346,16 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
   obs::add_soc_power(reg, "sim.power", pw);
 
   if (!args.folded_path.empty()) {
-    write_text_file(args.folded_path, prof.collapsed_stacks("core0"),
-                    "collapsed stacks");
+    tools::write_text_file("xprof", args.folded_path,
+                           prof.collapsed_stacks("core0"), "collapsed stacks");
   }
   return ok ? 0 : 1;
 }
 
-int run_cluster(const Args& args, const qnn::ConvSpec& spec,
-                const kernels::ConvLayerData& data,
+int run_cluster(const Args& args, const kernels::ConvLayerData& data,
                 const sim::CoreConfig& cfg, obs::Registry& reg,
-                std::unique_ptr<obs::Timeline>& timeline) {
+                obs::Timeline* timeline) {
+  const qnn::ConvSpec& spec = data.spec;
   cluster::ClusterConfig ccfg;
   ccfg.num_cores = args.cores;
   ccfg.core = cfg;
@@ -471,7 +369,7 @@ int run_cluster(const Args& args, const qnn::ConvSpec& spec,
       popts.block_instructions = args.block;
       popts.track = static_cast<u8>(c);
       if (timeline) {
-        popts.timeline = timeline.get();
+        popts.timeline = timeline;
         timeline->set_track_name(static_cast<u8>(c),
                                  "core" + std::to_string(c));
       }
@@ -530,7 +428,8 @@ int run_cluster(const Args& args, const qnn::ConvSpec& spec,
   }
 
   if (!args.folded_path.empty()) {
-    write_text_file(args.folded_path, folded, "collapsed stacks");
+    tools::write_text_file("xprof", args.folded_path, folded,
+                           "collapsed stacks");
   }
   return ok ? 0 : 1;
 }
@@ -539,80 +438,16 @@ int run_cluster(const Args& args, const qnn::ConvSpec& spec,
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
-  if (args.bits != 8 && args.bits != 4 && args.bits != 2) {
-    std::fprintf(stderr, "xprof: --bits must be 8, 4 or 2\n");
-    return 2;
-  }
-  if (args.variant == ConvVariant::kXpulpV2_8b && args.bits != 8) {
-    std::fprintf(stderr, "xprof: variant 8b requires --bits 8\n");
-    return 2;
-  }
-  if (args.variant != ConvVariant::kXpulpV2_8b && args.bits == 8) {
-    std::fprintf(stderr, "xprof: sub-byte variants need --bits 4 or 2\n");
-    return 2;
-  }
-
-  sim::CoreConfig cfg =
-      args.ri5cy_core ? sim::CoreConfig::ri5cy() : sim::CoreConfig::extended();
+  if (!parse_args(argc, argv, args)) return 2;
+  sim::CoreConfig cfg = args.core == "ri5cy" ? sim::CoreConfig::ri5cy()
+                                             : sim::CoreConfig::extended();
   cfg.reference_dispatch = args.reference_dispatch;
   cfg.hwloops = args.hwloops;
-
-  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(args.bits);
-  if (args.small) {
-    spec.in_h = spec.in_w = 6;
-    spec.in_c = 16;
-    spec.out_c = 8;
-  }
-
-  try {
-    if (!kernels::variant_supported(args.variant, cfg)) {
-      std::fprintf(stderr, "xprof: variant %s is not supported on core %s\n",
-                   kernels::variant_name(args.variant), cfg.name.c_str());
-      return 2;
-    }
-    const auto data = kernels::ConvLayerData::random(spec, /*seed=*/7);
-    // random() calibrates spec.requant_shift for 8-bit outputs; the kernel
-    // must be generated from the calibrated spec or requantization shifts
-    // by the wrong amount.
-    spec = data.spec;
-
-    std::unique_ptr<obs::Timeline> timeline;
-    if (!args.trace_path.empty()) {
-      timeline = std::make_unique<obs::Timeline>();
-    }
-
-    obs::Registry reg;
-    const int rc =
-        args.cores > 1
-            ? run_cluster(args, spec, data, cfg, reg, timeline)
-            : run_single(args, spec, data, cfg, reg, timeline);
-
-    if (timeline) {
-      std::ofstream f(args.trace_path);
-      if (!f) {
-        std::fprintf(stderr, "xprof: cannot write trace to %s\n",
-                     args.trace_path.c_str());
-        return 1;
-      }
-      timeline->write_chrome_json(f);
-      std::printf("wrote Perfetto trace: %s (%llu events, %llu dropped)\n",
-                  args.trace_path.c_str(),
-                  static_cast<unsigned long long>(timeline->size()),
-                  static_cast<unsigned long long>(timeline->dropped()));
-    }
-    if (!args.json_path.empty() && reg.save_json(args.json_path)) {
-      std::printf("wrote metrics JSON: %s\n", args.json_path.c_str());
-    }
-    if (!args.csv_path.empty() && reg.save_csv(args.csv_path)) {
-      std::printf("wrote metrics CSV: %s\n", args.csv_path.c_str());
-    }
-    return rc;
-  } catch (const SimError& e) {
-    std::fprintf(stderr, "xprof: %s\n", e.what());
-    return 1;
-  }
+  return tools::run_layer_tool(
+      "xprof", args, cfg,
+      [&](const kernels::ConvLayerData& data, obs::Registry& reg,
+          obs::Timeline* timeline) {
+        return args.cores > 1 ? run_cluster(args, data, cfg, reg, timeline)
+                              : run_single(args, data, cfg, reg, timeline);
+      });
 }

@@ -18,9 +18,7 @@
 // track set per core) and bins TCDM traffic into the per-bank heatmap,
 // whose conflict totals must equal the bank arbiter's counters exactly.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -34,33 +32,22 @@
 #include "obs/sampler.hpp"
 #include "obs/timeline.hpp"
 #include "power/power_model.hpp"
-#include "qnn/pack.hpp"
 #include "qnn/ref_layers.hpp"
+#include "tool_cli.hpp"
 
 namespace {
 
 using namespace xpulp;
-using kernels::ConvVariant;
 
-struct Args {
-  unsigned bits = 4;
-  ConvVariant variant = ConvVariant::kXpulpNN_HwQ;
-  bool ri5cy_core = false;
-  std::string mode = "fast";  // reference | fast | superblock
-  bool small = false;
-  bool check = true;
-  bool energy = true;  // run the traced energy-attribution pass
-  int cores = 1;
+struct Args : tools::RunArgs {
+  std::string mode = "fast";        // reference | fast | superblock
+  bool energy = true;               // run the traced energy-attribution pass
   std::string scheduler = "burst";  // cluster mode: reference | burst
   u64 interval = 4096;
   u64 capacity = 1u << 16;
-  std::string trace_path;
   std::string samples_path;      // sample-series CSV
   std::string heatmap_path;      // bank heatmap JSON (cluster mode)
   std::string heatmap_csv_path;  // bank heatmap CSV (cluster mode)
-  std::string folded_path;       // energy flamegraph stacks
-  std::string json_path;
-  std::string csv_path;
 };
 
 void usage() {
@@ -90,112 +77,32 @@ void usage() {
       "  --no-check         skip golden-output and reconciliation checks");
 }
 
-bool parse_variant(const char* s, ConvVariant& v) {
-  if (!std::strcmp(s, "8b")) v = ConvVariant::kXpulpV2_8b;
-  else if (!std::strcmp(s, "sub")) v = ConvVariant::kXpulpV2_Sub;
-  else if (!std::strcmp(s, "subshf")) v = ConvVariant::kXpulpV2_SubShf;
-  else if (!std::strcmp(s, "swq")) v = ConvVariant::kXpulpNN_SwQ;
-  else if (!std::strcmp(s, "hwq")) v = ConvVariant::kXpulpNN_HwQ;
-  else return false;
-  return true;
-}
-
 bool parse_args(int argc, char** argv, Args& a) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string opt = argv[i];
-    const auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "xtel: %s needs a value\n", opt.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const auto path_opt = [&](std::string& dst) {
-      const char* v = need_value();
-      if (!v) return false;
-      dst = v;
-      return true;
-    };
-    if (opt == "--help" || opt == "-h") {
-      usage();
-      std::exit(0);
-    } else if (opt == "--bits") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.bits = static_cast<unsigned>(std::atoi(v));
-    } else if (opt == "--variant") {
-      const char* v = need_value();
-      if (!v || !parse_variant(v, a.variant)) return false;
-    } else if (opt == "--core") {
-      const char* v = need_value();
-      if (!v) return false;
-      if (!std::strcmp(v, "ri5cy")) a.ri5cy_core = true;
-      else if (std::strcmp(v, "xpulpnn")) return false;
-    } else if (opt == "--mode") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.mode = v;
-      if (a.mode != "reference" && a.mode != "fast" &&
-          a.mode != "superblock") {
-        return false;
-      }
+  tools::OptionReader r("xtel", usage, argc, argv);
+  while (r.next()) {
+    const std::string& opt = r.opt();
+    if (r.run_option(a)) continue;
+    if (opt == "--mode") {
+      r.choice(a.mode, {"reference", "fast", "superblock"});
     } else if (opt == "--interval") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.interval = static_cast<u64>(std::atoll(v));
+      r.count(a.interval, 1);
     } else if (opt == "--capacity") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.capacity = static_cast<u64>(std::atoll(v));
-    } else if (opt == "--small") {
-      a.small = true;
-    } else if (opt == "--check") {
-      a.check = true;
-    } else if (opt == "--no-check") {
-      a.check = false;
+      r.count(a.capacity);
     } else if (opt == "--no-energy") {
       a.energy = false;
-    } else if (opt == "--cores") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.cores = std::atoi(v);
     } else if (opt == "--scheduler") {
-      const char* v = need_value();
-      if (!v) return false;
-      a.scheduler = v;
-      if (a.scheduler != "reference" && a.scheduler != "burst") return false;
-    } else if (opt == "--trace") {
-      if (!path_opt(a.trace_path)) return false;
+      r.choice(a.scheduler, {"reference", "burst"});
     } else if (opt == "--samples") {
-      if (!path_opt(a.samples_path)) return false;
+      r.text(a.samples_path);
     } else if (opt == "--heatmap") {
-      if (!path_opt(a.heatmap_path)) return false;
+      r.text(a.heatmap_path);
     } else if (opt == "--heatmap-csv") {
-      if (!path_opt(a.heatmap_csv_path)) return false;
-    } else if (opt == "--folded") {
-      if (!path_opt(a.folded_path)) return false;
-    } else if (opt == "--json") {
-      if (!path_opt(a.json_path)) return false;
-    } else if (opt == "--csv") {
-      if (!path_opt(a.csv_path)) return false;
+      r.text(a.heatmap_csv_path);
     } else {
-      std::fprintf(stderr, "xtel: unknown option %s\n", opt.c_str());
-      return false;
+      r.reject();
     }
   }
-  return true;
-}
-
-bool write_text_file(const std::string& path, const std::string& body,
-                     const char* what) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "xtel: cannot write %s to %s\n", what, path.c_str());
-    return false;
-  }
-  f << body;
-  std::printf("wrote %s: %s\n", what, path.c_str());
-  return true;
+  return r.finish(a);
 }
 
 void print_series_summary(const obs::Sampler& sampler,
@@ -220,9 +127,10 @@ void print_series_summary(const obs::Sampler& sampler,
               ipc_min, ipc_max, macs_peak, mw_peak);
 }
 
-int run_single(const Args& args, const qnn::ConvSpec& spec,
-               const kernels::ConvLayerData& data, sim::CoreConfig cfg,
-               obs::Registry& reg, std::unique_ptr<obs::Timeline>& timeline) {
+int run_single(const Args& args, const kernels::ConvLayerData& data,
+               const sim::CoreConfig& cfg, obs::Registry& reg,
+               obs::Timeline* timeline) {
+  const qnn::ConvSpec& spec = data.spec;
   kernels::ConvKernel kernel =
       kernels::generate_conv_kernel(spec, args.variant, 0x40000);
 
@@ -239,7 +147,7 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
   sopts.capacity = args.capacity;
   sopts.track_prefix = "core0";
   if (timeline) {
-    sopts.timeline = timeline.get();
+    sopts.timeline = timeline;
     timeline->set_track_name(0, "core0");
   }
   obs::Sampler sampler(core, sopts);
@@ -251,23 +159,8 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
     return 1;
   }
 
-  bool ok = true;
-  if (args.check) {
-    std::vector<u8> out_bytes(kernel.layout.output_bytes);
-    mem.read_block(kernel.layout.output, out_bytes);
-    const qnn::Tensor out = qnn::unpack_tensor(
-        out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
-        /*is_signed=*/false);
-    if (!(out == data.golden())) {
-      std::fprintf(stderr, "xtel: output does not match the golden model\n");
-      ok = false;
-    }
-    const std::string inv = sim::perf_invariant_violation(core.perf());
-    if (!inv.empty()) {
-      std::fprintf(stderr, "xtel: perf invariant violated: %s\n", inv.c_str());
-      ok = false;
-    }
-  }
+  bool ok = !args.check || tools::check_layer_run("xtel", data, kernel.layout,
+                                                  mem, core.perf());
 
   const sim::PerfCounters& perf = core.perf();
   std::printf("\n== %s, %u-bit, %dx%dx%d -> %d (%s dispatch) ==\n",
@@ -305,7 +198,8 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
   if (!args.samples_path.empty()) {
     std::ostringstream os;
     sampler.write_csv(os);
-    write_text_file(args.samples_path, os.str(), "sample series CSV");
+    tools::write_text_file("xtel", args.samples_path, os.str(),
+                           "sample series CSV");
   }
 
   if (args.energy) {
@@ -359,8 +253,9 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
     eprof.add_to_registry(reg, "energy");
     reg.flag("energy.reconciled", eprof.reconciliation_violation().empty());
     if (!args.folded_path.empty()) {
-      write_text_file(args.folded_path, eprof.collapsed_stacks("core0"),
-                      "energy flamegraph stacks");
+      tools::write_text_file("xtel", args.folded_path,
+                             eprof.collapsed_stacks("core0"),
+                             "energy flamegraph stacks");
     }
   }
   return ok ? 0 : 1;
@@ -449,16 +344,15 @@ bool sample_series_match(const obs::Sampler& a, const obs::Sampler& b) {
   return true;
 }
 
-int run_cluster(const Args& args, const qnn::ConvSpec& /*spec*/,
-                const kernels::ConvLayerData& data,
+int run_cluster(const Args& args, const kernels::ConvLayerData& data,
                 const sim::CoreConfig& cfg, obs::Registry& reg,
-                std::unique_ptr<obs::Timeline>& timeline) {
+                obs::Timeline* timeline) {
   const bool burst_primary = args.scheduler == "burst";
   const cluster::SchedulerMode primary_mode =
       burst_primary ? cluster::SchedulerMode::kBurst
                     : cluster::SchedulerMode::kReference;
   ClusterPass pass =
-      run_cluster_pass(args, data, cfg, primary_mode, timeline.get());
+      run_cluster_pass(args, data, cfg, primary_mode, timeline);
   const cluster::ParallelConvResult& res = pass.res;
   obs::BankHeatmap& heatmap = *pass.heatmap;
   std::vector<std::unique_ptr<obs::Sampler>>& samplers = pass.samplers;
@@ -548,12 +442,14 @@ int run_cluster(const Args& args, const qnn::ConvSpec& /*spec*/,
   if (!args.heatmap_path.empty()) {
     std::ostringstream os;
     heatmap.write_json(os);
-    write_text_file(args.heatmap_path, os.str(), "bank heatmap JSON");
+    tools::write_text_file("xtel", args.heatmap_path, os.str(),
+                           "bank heatmap JSON");
   }
   if (!args.heatmap_csv_path.empty()) {
     std::ostringstream os;
     heatmap.write_csv(os);
-    write_text_file(args.heatmap_csv_path, os.str(), "bank heatmap CSV");
+    tools::write_text_file("xtel", args.heatmap_csv_path, os.str(),
+                           "bank heatmap CSV");
   }
   if (!args.samples_path.empty()) {
     std::ostringstream os;
@@ -561,7 +457,8 @@ int run_cluster(const Args& args, const qnn::ConvSpec& /*spec*/,
       os << "# core " << c << "\n";
       samplers[static_cast<size_t>(c)]->write_csv(os);
     }
-    write_text_file(args.samples_path, os.str(), "sample series CSV");
+    tools::write_text_file("xtel", args.samples_path, os.str(),
+                           "sample series CSV");
   }
   return ok ? 0 : 1;
 }
@@ -570,76 +467,16 @@ int run_cluster(const Args& args, const qnn::ConvSpec& /*spec*/,
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
-  if (args.bits != 8 && args.bits != 4 && args.bits != 2) {
-    std::fprintf(stderr, "xtel: --bits must be 8, 4 or 2\n");
-    return 2;
-  }
-  if (args.interval == 0) {
-    std::fprintf(stderr, "xtel: --interval must be nonzero\n");
-    return 2;
-  }
-
-  sim::CoreConfig cfg =
-      args.ri5cy_core ? sim::CoreConfig::ri5cy() : sim::CoreConfig::extended();
+  if (!parse_args(argc, argv, args)) return 2;
+  sim::CoreConfig cfg = args.core == "ri5cy" ? sim::CoreConfig::ri5cy()
+                                             : sim::CoreConfig::extended();
   cfg.reference_dispatch = (args.mode == "reference");
   cfg.superblock = (args.mode == "superblock");
-
-  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(args.bits);
-  if (args.small) {
-    spec.in_h = spec.in_w = 6;
-    spec.in_c = 16;
-    spec.out_c = 8;
-  }
-
-  try {
-    if (!kernels::variant_supported(args.variant, cfg)) {
-      std::fprintf(stderr, "xtel: variant %s is not supported on core %s\n",
-                   kernels::variant_name(args.variant), cfg.name.c_str());
-      return 2;
-    }
-    const auto data = kernels::ConvLayerData::random(spec, /*seed=*/7);
-    // random() calibrates spec.requant_shift for 8-bit outputs; generate
-    // the kernel from the calibrated spec (see run_conv_layer).
-    spec = data.spec;
-
-    std::unique_ptr<obs::Timeline> timeline;
-    if (!args.trace_path.empty()) {
-      timeline = std::make_unique<obs::Timeline>();
-    }
-
-    obs::Registry reg;
-    const int rc =
-        args.cores > 1
-            ? run_cluster(args, spec, data, cfg, reg, timeline)
-            : run_single(args, spec, data, cfg, reg, timeline);
-
-    if (timeline) {
-      std::ofstream f(args.trace_path);
-      if (!f) {
-        std::fprintf(stderr, "xtel: cannot write trace to %s\n",
-                     args.trace_path.c_str());
-        return 1;
-      }
-      timeline->write_chrome_json(f);
-      std::printf(
-          "wrote Perfetto trace: %s (%llu counter points, %llu dropped)\n",
-          args.trace_path.c_str(),
-          static_cast<unsigned long long>(timeline->counters_recorded()),
-          static_cast<unsigned long long>(timeline->counters_dropped()));
-    }
-    if (!args.json_path.empty() && reg.save_json(args.json_path)) {
-      std::printf("wrote metrics JSON: %s\n", args.json_path.c_str());
-    }
-    if (!args.csv_path.empty() && reg.save_csv(args.csv_path)) {
-      std::printf("wrote metrics CSV: %s\n", args.csv_path.c_str());
-    }
-    return rc;
-  } catch (const SimError& e) {
-    std::fprintf(stderr, "xtel: %s\n", e.what());
-    return 1;
-  }
+  return tools::run_layer_tool(
+      "xtel", args, cfg,
+      [&](const kernels::ConvLayerData& data, obs::Registry& reg,
+          obs::Timeline* timeline) {
+        return args.cores > 1 ? run_cluster(args, data, cfg, reg, timeline)
+                              : run_single(args, data, cfg, reg, timeline);
+      });
 }
