@@ -4,7 +4,6 @@
 // compute. DMA-bound layers (fully-connected: few MACs per weight byte)
 // show the benefit most clearly.
 #include "bench_util.hpp"
-#include "kernels/linear.hpp"
 #include "soc/streamed_conv.hpp"
 
 using namespace xpulp;
@@ -13,8 +12,9 @@ using kernels::ConvVariant;
 
 namespace {
 
-void report(const char* name, const kernels::ConvLayerData& data,
-            const qnn::Tensor& gold, int tile, u32 dma_bpc) {
+void report(const char* name, const kernels::ConvLayerData& data, int tile,
+            u32 dma_bpc) {
+  const qnn::Tensor gold = data.golden();
   std::printf("\n%s (tile = %d channels, DMA %u B/cycle):\n", name, tile,
               dma_bpc);
   std::printf("%14s %12s %12s %12s %10s %7s\n", "scheme", "compute",
@@ -43,16 +43,16 @@ int main() {
   print_header("uDMA weight streaming -- serial vs double-buffered tiles");
 
   // The paper's conv layer: compute-bound, streaming is essentially free.
-  const auto conv_spec = qnn::ConvSpec::paper_layer(4);
-  const auto conv = kernels::ConvLayerData::random(conv_spec, kSeed);
-  report("4-bit conv 16x16x32 -> 64ch", conv, conv.golden(), 8, 4);
+  report("4-bit conv 16x16x32 -> 64ch",
+         kernels::ConvLayerData::random(qnn::ConvSpec::paper_layer(4), kSeed),
+         8, 4);
 
   // A large fully-connected layer: DMA-bound at 1 B/cycle, the classic
   // double-buffering win.
-  const auto fc = kernels::LinearLayerData::random(1024, 128, 4, kSeed);
-  const auto fc_conv = fc.as_conv();
-  report("4-bit FC 1024 -> 128", fc_conv, fc.golden(), 32, 1);
-  report("4-bit FC 1024 -> 128", fc_conv, fc.golden(), 32, 4);
+  const auto fc = kernels::ConvLayerData::random(
+      qnn::ConvSpec::linear(1024, 128, 4, 4, 4), kSeed);
+  report("4-bit FC 1024 -> 128", fc, 32, 1);
+  report("4-bit FC 1024 -> 128", fc, 32, 4);
 
   std::printf("\n(weights stay in L2; the TCDM holds only the ping-pong tile\n");
   std::printf(" buffers, so layers larger than the 512 kB L1 stay runnable.)\n");

@@ -18,7 +18,6 @@
 #include "kernels/pool_gen.hpp"
 
 using namespace xpulp;
-using kernels::ConvGenOptions;
 using kernels::ConvLayerData;
 using kernels::ConvVariant;
 
@@ -159,18 +158,9 @@ int main() {
   // (the matmul subroutine in 2x1 blocking handles the odd 1x1 output).
   qnn::Tensor flat({1, 1, 128});
   for (int i = 0; i < 128; ++i) flat.flat(i) = p2.output.flat(i);
-  qnn::ConvSpec fc;
-  fc.in_h = fc.in_w = 1;
-  fc.in_c = 128;
-  fc.out_c = 10;
-  fc.k_h = fc.k_w = 1;
-  fc.pad = 0;
-  fc.in_bits = fc.w_bits = fc.out_bits = kBits;
+  const auto fc = qnn::ConvSpec::linear(128, 10, kBits, kBits, kBits);
   const auto lf = make_layer(flat, fc, 303);
-  ConvGenOptions fc_opts;
-  fc_opts.pixel_block = 1;
-  const auto rf =
-      kernels::run_conv_layer(lf, ConvVariant::kXpulpNN_HwQ, cfg, fc_opts);
+  const auto rf = kernels::run_conv_layer(lf, ConvVariant::kXpulpNN_HwQ, cfg);
   total_bad += check(rf.output, lf.golden(), "fc");
   total_cycles += rf.perf.cycles;
 

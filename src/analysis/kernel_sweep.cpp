@@ -1,7 +1,6 @@
 #include "analysis/kernel_sweep.hpp"
 
 #include "kernels/conv_layer.hpp"
-#include "kernels/linear.hpp"
 #include "kernels/pool_gen.hpp"
 #include "qnn/ref_layers.hpp"
 
@@ -120,26 +119,16 @@ std::vector<SweepKernel> paper_kernels() {
   }
 
   // ---- linear layers (1x1 "convolution", 2x1 blocking) ----
-  {
-    kernels::ConvGenOptions gen;
-    gen.pixel_block = 1;
-    qnn::ConvSpec lin;
-    lin.in_h = lin.in_w = lin.k_h = lin.k_w = 1;
-    lin.pad = 0;
-    lin.in_c = 64;
-    lin.out_c = 8;
-    lin.in_bits = lin.w_bits = lin.out_bits = 8;
-    add_conv(out, lin, ConvVariant::kXpulpV2_8b, "linear/xpulpv2_8b",
-             options_for(false), gen);
-    for (const unsigned bits : {4u, 2u}) {
-      lin.in_bits = lin.w_bits = lin.out_bits = bits;
-      add_conv(out, lin, ConvVariant::kXpulpV2_Sub,
-               "linear/xpulpv2_sub/" + std::to_string(bits) + "b",
-               options_for(false), gen);
-      add_conv(out, lin, ConvVariant::kXpulpNN_HwQ,
-               "linear/xpulpnn_hwq/" + std::to_string(bits) + "b",
-               options_for(true), gen);
-    }
+  add_conv(out, qnn::ConvSpec::linear(64, 8, 8, 8, 8),
+           ConvVariant::kXpulpV2_8b, "linear/xpulpv2_8b", options_for(false));
+  for (const unsigned bits : {4u, 2u}) {
+    const qnn::ConvSpec lin = qnn::ConvSpec::linear(64, 8, bits, bits, bits);
+    add_conv(out, lin, ConvVariant::kXpulpV2_Sub,
+             "linear/xpulpv2_sub/" + std::to_string(bits) + "b",
+             options_for(false));
+    add_conv(out, lin, ConvVariant::kXpulpNN_HwQ,
+             "linear/xpulpnn_hwq/" + std::to_string(bits) + "b",
+             options_for(true));
   }
 
   return out;

@@ -263,7 +263,6 @@ std::vector<xasm::Program> make_parallel_linear_programs(
   const int share = spec.out_c / num_cores;
   for (int c = 0; c < num_cores; ++c) {
     ConvGenOptions o;
-    o.pixel_block = 1;
     o.code_base = static_cast<addr_t>(c) * 0x4000;
     o.ch_begin = c * share;
     o.ch_end = (c + 1) * share;
@@ -319,28 +318,21 @@ std::vector<RaceCheck> analyze_parallel_kernels(
   }
 
   // ---- linear layers, channel-tiled ----
-  {
-    qnn::ConvSpec lin;
-    lin.in_h = lin.in_w = lin.k_h = lin.k_w = 1;
-    lin.pad = 0;
-    lin.in_c = 64;
-    lin.out_c = 32;
-    for (const unsigned bits : {8u, 4u, 2u}) {
-      lin.in_bits = lin.w_bits = lin.out_bits = bits;
-      const ConvVariant v =
-          bits == 8 ? ConvVariant::kXpulpV2_8b : ConvVariant::kXpulpNN_HwQ;
-      const std::string name = bits == 8 ? "linear/xpulpv2_8b"
-                                         : "linear/xpulpnn_hwq/" +
-                                               std::to_string(bits) + "b";
-      for (const int cores : core_counts) {
-        if (lin.out_c % cores != 0) continue;
-        // Pack-group constraint: a 2-bit output tile must cover >= 4
-        // channels per core.
-        if (lin.out_c / cores < (bits == 2 ? 4 : 2)) continue;
-        out.push_back({name, cores,
-                       analyze_races(
-                           make_parallel_linear_programs(lin, v, cores))});
-      }
+  for (const unsigned bits : {8u, 4u, 2u}) {
+    const qnn::ConvSpec lin = qnn::ConvSpec::linear(64, 32, bits, bits, bits);
+    const ConvVariant v =
+        bits == 8 ? ConvVariant::kXpulpV2_8b : ConvVariant::kXpulpNN_HwQ;
+    const std::string name =
+        bits == 8 ? "linear/xpulpv2_8b"
+                  : "linear/xpulpnn_hwq/" + std::to_string(bits) + "b";
+    for (const int cores : core_counts) {
+      if (lin.out_c % cores != 0) continue;
+      // Pack-group constraint: a 2-bit output tile must cover >= 4
+      // channels per core.
+      if (lin.out_c / cores < (bits == 2 ? 4 : 2)) continue;
+      out.push_back(
+          {name, cores,
+           analyze_races(make_parallel_linear_programs(lin, v, cores))});
     }
   }
 

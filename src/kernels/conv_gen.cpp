@@ -47,6 +47,9 @@ struct Gen {
   const qnn::ConvSpec& spec;
   ConvVariant variant;
   ConvGenOptions opts;
+  /// Output pixels per matmul pass: the caller's choice, else the widest
+  /// block the output width allows (4x2 on even widths, 2x1 on odd ones).
+  int pixel_block;
   ConvMemLayout lay;
   std::vector<std::pair<addr_t, addr_t>> quant_ranges;
   obs::RegionMap regions;
@@ -57,6 +60,7 @@ struct Gen {
         spec(s),
         variant(v),
         opts(o),
+        pixel_block(o.pixel_block.value_or(s.out_w() % 2 == 0 ? 2 : 1)),
         lay(o.layout ? *o.layout
                      : ConvMemLayout::plan(s, v, data_base, o.buffer_slots)) {}
 
@@ -69,7 +73,7 @@ struct Gen {
                           static_cast<u32>(opts.buffer_slot);
   }
 
-  bool two_pixels() const { return opts.pixel_block == 2; }
+  bool two_pixels() const { return pixel_block == 2; }
 
   /// Wrap the dot-product loop body in either a zero-overhead hardware
   /// loop or (ablation) a decrement-and-branch loop. The software loop
@@ -631,7 +635,7 @@ struct Gen {
     if ((spec.in_c * static_cast<int>(in_bits())) % 32 != 0) {
       throw SimError("input channel block must be word-aligned");
     }
-    if (opts.pixel_block != 1 && opts.pixel_block != 2) {
+    if (pixel_block != 1 && pixel_block != 2) {
       throw SimError("pixel_block must be 1 or 2");
     }
     if (two_pixels() && spec.out_w() % 2 != 0) {
@@ -669,7 +673,7 @@ struct Gen {
     regions.add_range("matmul", matmul_lo, a.current_addr());
 
     a.bind(main);
-    const int step = opts.pixel_block;
+    const int step = pixel_block;
     const int row_begin = std::clamp(opts.row_begin, 0, spec.out_h());
     const int row_end =
         opts.row_end < 0 ? spec.out_h() : std::min(opts.row_end, spec.out_h());

@@ -117,8 +117,10 @@ struct ConvGenOptions {
   bool use_hwloops = true;
   /// Output pixels computed per matmul pass: 2 = the PULP-NN 4x2 blocking
   /// (2 filters x 2 pixels), 1 = a 2x1 kernel that reloads weights twice
-  /// as often per output.
-  int pixel_block = 2;
+  /// as often per output. Unset: the widest block the layer's output width
+  /// allows — 2 when even, 1 when odd (e.g. a linear layer's single
+  /// pixel). An explicit 2 on an odd width is rejected, never downgraded.
+  std::optional<int> pixel_block;
 
   // ---- multi-core partitioning (src/cluster) ----
   /// Where this core's program is placed.

@@ -133,14 +133,8 @@ Network& Network::linear(int out_features, LayerPrecision p) {
   }
   Step s;
   s.kind = Step::Kind::kLinear;
-  s.spec.in_h = s.spec.in_w = 1;
-  s.spec.k_h = s.spec.k_w = 1;
-  s.spec.pad = 0;
-  s.spec.in_c = shape_.elems();
-  s.spec.out_c = out_features;
-  s.spec.in_bits = cur_bits_;
-  s.spec.w_bits = p.w_bits;
-  s.spec.out_bits = p.out_bits;
+  s.spec = qnn::ConvSpec::linear(shape_.elems(), out_features, cur_bits_,
+                                 p.w_bits, p.out_bits);
   s.bits = cur_bits_;
   s.seed = seed_ + plan_.size() * 977;
   s.name = "linear" + std::to_string(plan_.size());
@@ -174,14 +168,12 @@ NetworkResult Network::run(const qnn::Tensor& input,
           data.thresholds =
               trained_thresholds(data.input, data.weights, step.spec);
         }
-        ConvGenOptions opts;
-        opts.pixel_block = (step.spec.out_w() % 2 == 0) ? 2 : 1;
         // Mixed-precision layers always dispatch to the virtual-SIMD
         // kernel; the variant parameter only selects among uniform ones.
         const ConvVariant v = step.spec.in_bits != step.spec.w_bits
                                   ? ConvVariant::kXpulpNN_Mixed
                                   : variant;
-        const ConvRunResult r = run_conv_layer(data, v, cfg, opts);
+        const ConvRunResult r = run_conv_layer(data, v, cfg);
         const qnn::Tensor gold = data.golden();
         st.matched_golden = (r.output == gold);
         st.cycles = r.perf.cycles;

@@ -47,6 +47,24 @@ struct ConvSpec {
     s.in_bits = s.w_bits = s.out_bits = bits;
     return s;
   }
+
+  /// A fully-connected (linear) layer — the other layer type the paper
+  /// names ("convolution or linear layers", §III-A). It is the degenerate
+  /// convolution with a 1x1x(in_features) input and 1x1 filters, so the
+  /// conv kernels run it on the same matmul machinery (2x1 blocking: a
+  /// single output "pixel").
+  static ConvSpec linear(int in_features, int out_features, unsigned in_bits,
+                         unsigned w_bits, unsigned out_bits) {
+    ConvSpec s;
+    s.in_h = s.in_w = s.k_h = s.k_w = 1;
+    s.pad = 0;
+    s.in_c = in_features;
+    s.out_c = out_features;
+    s.in_bits = in_bits;
+    s.w_bits = w_bits;
+    s.out_bits = out_bits;
+    return s;
+  }
 };
 
 /// 32-bit pre-activation (accumulator) of one output element.

@@ -53,7 +53,6 @@ StreamedConvResult run_conv_streamed(const ConvLayerData& data,
     o.ch_end = (t + 1) * tile_channels;
     o.weights_base_override = buf[t % 2];
     o.layout = &layout;
-    o.pixel_block = (spec.out_w() % 2 == 0) ? 2 : 1;
     programs.push_back(kernels::generate_conv_kernel(spec, v, kDataBase, o));
   }
 

@@ -5,6 +5,7 @@
 
 #include <functional>
 
+#include "kernels/conv_layer.hpp"
 #include "mem/memory.hpp"
 #include "qnn/ref_layers.hpp"
 #include "sim/core.hpp"
@@ -55,6 +56,15 @@ inline qnn::ConvSpec mixed_paper_layer(unsigned in_bits, unsigned w_bits) {
   s.w_bits = w_bits;
   s.out_bits = w_bits == 2 ? 4 : 8;
   return s;
+}
+
+/// A linear layer's own oracle, independent of the conv golden path:
+/// qnn::linear_ref for sub-byte outputs, the 8-bit scale path otherwise.
+inline qnn::Tensor linear_golden(const kernels::ConvLayerData& d) {
+  if (d.spec.out_bits == 8) {
+    return qnn::conv2d_ref_u8(d.input, d.weights, d.spec);
+  }
+  return qnn::linear_ref(d.input, d.weights, d.thresholds);
 }
 
 }  // namespace xpulp::test

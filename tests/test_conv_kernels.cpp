@@ -53,6 +53,8 @@ std::vector<Case> cases() {
   v.push_back({spec(8, 4, 4, 16, 6, 1, 0), ConvVariant::kXpulpV2_8b, true, "v8_1x1"});
   // Stride-2 downsampling conv.
   v.push_back({spec(4, 8, 8, 8, 4, 3, 1, 2), ConvVariant::kXpulpNN_HwQ, true, "n4_s2"});
+  // Odd output width: the generator derives 2x1 blocking by default.
+  v.push_back({spec(8, 7, 7, 8, 4), ConvVariant::kXpulpV2_8b, false, "v8_odd"});
   return v;
 }
 
@@ -150,10 +152,37 @@ TEST(ConvKernels, ShuffleUnpackBeatsNaiveButNotTheExtension) {
                SimError);
 }
 
+TEST(ConvKernels, OddOutputWidthMatchesGoldenOnAllDispatchModes) {
+  // 7x7 input, 3x3 kernel, pad 1: a 7-wide output. Default options pick
+  // the 2x1 block; an explicit 4x2 block is rejected, never downgraded.
+  const auto data = ConvLayerData::random(spec(4, 7, 7, 16, 8), 21);
+  const auto gold = data.golden();
+  for (const bool reference : {true, false}) {
+    for (const bool superblock : {false, true}) {
+      if (reference && superblock) continue;
+      sim::CoreConfig cfg = sim::CoreConfig::extended();
+      cfg.reference_dispatch = reference;
+      cfg.superblock = superblock;
+      const auto res = run_conv_layer(data, ConvVariant::kXpulpNN_HwQ, cfg);
+      EXPECT_EQ(res.output, gold)
+          << "ref=" << reference << " sb=" << superblock;
+    }
+  }
+  ConvGenOptions four_by_two;
+  four_by_two.pixel_block = 2;
+  EXPECT_THROW(run_conv_layer(data, ConvVariant::kXpulpNN_HwQ,
+                              sim::CoreConfig::extended(), four_by_two),
+               SimError);
+}
+
 TEST(ConvKernels, GeneratorRejectsBadGeometry) {
-  // Odd output width.
+  // Odd output width with explicit 4x2 blocking.
   auto s = spec(4, 5, 5, 16, 8, 3, 0);
-  EXPECT_THROW(generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ), SimError);
+  ConvGenOptions four_by_two;
+  four_by_two.pixel_block = 2;
+  EXPECT_THROW(
+      generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ, 0x40000, four_by_two),
+      SimError);
   // Channel block not word-aligned for 4-bit (in_c * 4 % 32 != 0).
   s = spec(4, 6, 6, 4, 8);
   EXPECT_THROW(generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ), SimError);

@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "kernels/conv_layer.hpp"
-#include "kernels/linear.hpp"
 #include "sim_test_util.hpp"
 
 namespace xpulp::kernels {
@@ -57,6 +56,8 @@ std::vector<MixedCase> mixed_grid() {
       {8, 2, 2, 4, 4, 16, 8, 1, 0, 15},
       {4, 2, 4, 6, 6, 8, 8, 3, 1, 16},
       {4, 2, 2, 6, 6, 8, 8, 3, 1, 17},
+      // Odd output width: default options derive the 2x1 block.
+      {4, 2, 4, 7, 7, 8, 8, 3, 1, 18},
   };
 }
 
@@ -111,15 +112,17 @@ TEST(MixedLinear, BitExactOnAllDispatchModes) {
   for (const Case c : {Case{64, 8, 8, 4, 8}, Case{64, 8, 8, 2, 8},
                        Case{64, 8, 4, 2, 8}, Case{16, 8, 8, 4, 4},
                        Case{16, 8, 8, 2, 2}, Case{64, 8, 4, 2, 4}}) {
-    const auto data = LinearLayerData::random_mixed(
-        c.in_f, c.out_f, c.in_bits, c.w_bits, c.out_bits, seed++);
-    const auto gold = data.golden();
+    const auto data = ConvLayerData::random(
+        qnn::ConvSpec::linear(c.in_f, c.out_f, c.in_bits, c.w_bits,
+                              c.out_bits),
+        seed++);
+    const auto gold = test::linear_golden(data);
     for (const bool reference : {true, false}) {
       for (const bool superblock : {false, true}) {
         if (reference && superblock) continue;
         const auto res =
-            run_linear_layer(data, ConvVariant::kXpulpNN_Mixed,
-                             dispatch_cfg(reference, superblock));
+            run_conv_layer(data, ConvVariant::kXpulpNN_Mixed,
+                           dispatch_cfg(reference, superblock));
         for (int i = 0; i < gold.elems(); ++i) {
           ASSERT_EQ(res.output.flat(i), gold.flat(i))
               << "a" << c.in_bits << "w" << c.w_bits << "o" << c.out_bits

@@ -2,7 +2,6 @@
 // makespan accounting, and the double-buffering benefit.
 #include <gtest/gtest.h>
 
-#include "kernels/linear.hpp"
 #include "sim_test_util.hpp"
 #include "soc/streamed_conv.hpp"
 
@@ -102,8 +101,8 @@ TEST(StreamedConv, MatchesResidentKernelCycles) {
 TEST(StreamedConv, DoubleBufferingHidesDmaTime) {
   // A DMA-heavy fully-connected layer (many weight bytes per MAC) at 1
   // byte/cycle: the ping-pong scheme must hide most of the transfer time.
-  const auto fc = kernels::LinearLayerData::random(512, 64, 4, 9);
-  const auto data = fc.as_conv();
+  const auto data =
+      ConvLayerData::random(qnn::ConvSpec::linear(512, 64, 4, 4, 4), 9);
   const auto serial = run_conv_streamed(data, ConvVariant::kXpulpNN_HwQ,
                                         sim::CoreConfig::extended(), 16,
                                         /*double_buffered=*/false,
@@ -119,7 +118,7 @@ TEST(StreamedConv, DoubleBufferingHidesDmaTime) {
   EXPECT_LT(dbuf.makespan, serial.makespan);
   EXPECT_GT(dbuf.overlap_efficiency(), 0.2);
   // Output identical and correct.
-  const auto gold = fc.golden();
+  const auto gold = test::linear_golden(data);
   for (int i = 0; i < gold.elems(); ++i) {
     ASSERT_EQ(dbuf.output.flat(i), gold.flat(i));
   }

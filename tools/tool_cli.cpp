@@ -132,6 +132,11 @@ bool OptionReader::run_option(RunArgs& a) {
   return true;
 }
 
+bool OptionReader::finish() {
+  if (!ok_) usage_();
+  return ok_;
+}
+
 bool OptionReader::finish(const LayerArgs& a) {
   if (ok_) {
     const std::string err = bits_variant_error(a.bits, a.variant);

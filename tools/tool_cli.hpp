@@ -1,8 +1,9 @@
-// Shared command-line front end of the conv-layer tools (xprof, xtel,
-// xfault): the option reader with strict number parsing, the options the
-// tools have in common, the bits/variant rules and the layer every tool
-// runs. Malformed input of any kind is a usage error: the reader says
-// why, prints the tool's usage, and the tool exits 2.
+// Shared command-line front end of the tools: the option reader with
+// strict number parsing (every tool), and for the conv-layer tools
+// (xprof, xtel, xfault) the options they have in common, the bits/variant
+// rules and the layer every tool runs. Malformed input of any kind is a
+// usage error: the reader says why, prints the tool's usage, and the tool
+// exits 2.
 #pragma once
 
 #include <concepts>
@@ -72,8 +73,9 @@ class OptionReader {
   bool layer_option(LayerArgs& a);
   bool run_option(RunArgs& a);
 
-  /// True if every option parsed and `a`'s bits/variant pair is valid;
-  /// otherwise says why and prints the usage.
+  /// True if every option parsed; otherwise prints the usage.
+  bool finish();
+  /// As above, and `a`'s bits/variant pair must be valid (says why not).
   bool finish(const LayerArgs& a);
 
  private:

@@ -18,8 +18,6 @@
 //
 // Exit status: 0 clean, 1 diagnostics/audit failures, 2 usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -32,17 +30,17 @@
 #include "common/error.hpp"
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
+#include "tool_cli.hpp"
 #include "xasm/text_asm.hpp"
 
 namespace {
 
 using namespace xpulp;
 
-int usage() {
+void usage() {
   std::cerr << "usage: xlint --audit | --kernels | [--base ADDR] "
                "[--mem-size N] [--isa ri5cy|xpulpnn] [--no-hwloops] "
                "[--assume-abi] [--dump] file.s ...\n";
-  return 2;
 }
 
 int run_audit() {
@@ -131,45 +129,34 @@ int main(int argc, char** argv) {
   bool audit = false;
   bool kernels = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--audit") {
+  tools::OptionReader r("xlint", usage, argc, argv);
+  while (r.next()) {
+    const std::string& opt = r.opt();
+    if (opt == "--audit") {
       audit = true;
-    } else if (arg == "--kernels") {
+    } else if (opt == "--kernels") {
       kernels = true;
-    } else if (arg == "--base") {
-      const char* v = next();
-      if (!v) return usage();
-      fo.base = static_cast<addr_t>(std::strtoul(v, nullptr, 0));
-    } else if (arg == "--mem-size") {
-      const char* v = next();
-      if (!v) return usage();
-      fo.opt.mem_size = static_cast<u32>(std::strtoul(v, nullptr, 0));
-    } else if (arg == "--isa") {
-      const char* v = next();
-      if (!v) return usage();
-      if (std::strcmp(v, "ri5cy") == 0) {
-        fo.opt.xpulpnn = false;
-      } else if (std::strcmp(v, "xpulpnn") == 0) {
-        fo.opt.xpulpnn = true;
-      } else {
-        return usage();
-      }
-    } else if (arg == "--no-hwloops") {
+    } else if (opt == "--base") {
+      r.count(fo.base);
+    } else if (opt == "--mem-size") {
+      r.count(fo.opt.mem_size, 1);
+    } else if (opt == "--isa") {
+      std::string isa;
+      r.choice(isa, {"ri5cy", "xpulpnn"});
+      if (!isa.empty()) fo.opt.xpulpnn = isa == "xpulpnn";
+    } else if (opt == "--no-hwloops") {
       fo.opt.hwloops = false;
-    } else if (arg == "--assume-abi") {
+    } else if (opt == "--assume-abi") {
       fo.opt.assume_initialized = analysis::AnalyzerOptions::abi_entry_mask();
-    } else if (arg == "--dump") {
+    } else if (opt == "--dump") {
       fo.dump = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
+    } else if (opt.starts_with('-')) {
+      r.reject();
     } else {
-      files.push_back(arg);
+      files.push_back(opt);
     }
   }
+  if (!r.finish()) return 2;
 
   if (audit || kernels) {
     int rc = 0;
@@ -177,7 +164,10 @@ int main(int argc, char** argv) {
     if (kernels) rc |= run_kernels();
     return rc;
   }
-  if (files.empty()) return usage();
+  if (files.empty()) {
+    usage();
+    return 2;
+  }
 
   int rc = 0;
   for (const std::string& f : files) rc |= lint_file(f, fo);

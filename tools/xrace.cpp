@@ -21,8 +21,6 @@
 // Exit status: 0 clean, 1 conflicts/unprovable/validation failure,
 // 2 usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -32,15 +30,15 @@
 #include "cluster/parallel_conv.hpp"
 #include "common/error.hpp"
 #include "obs/registry.hpp"
+#include "tool_cli.hpp"
 
 namespace {
 
 using namespace xpulp;
 
-int usage() {
+void usage() {
   std::cerr << "usage: xrace (--static [--kernels] | --shadow) "
                "[--cores N] [--json FILE]\n";
-  return 2;
 }
 
 std::string metric_key(std::string name) {
@@ -125,35 +123,33 @@ int main(int argc, char** argv) {
   int cores = 0;
   std::string json_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--static") {
+  tools::OptionReader r("xrace", usage, argc, argv);
+  while (r.next()) {
+    const std::string& opt = r.opt();
+    if (opt == "--static") {
       do_static = true;
-    } else if (arg == "--shadow") {
+    } else if (opt == "--shadow") {
       do_shadow = true;
-    } else if (arg == "--kernels") {
+    } else if (opt == "--kernels") {
       kernels = true;
-    } else if (arg == "--cores") {
-      const char* v = next();
-      if (!v) return usage();
-      cores = std::atoi(v);
-      if (cores < 1 || cores > 64) return usage();
-    } else if (arg == "--json") {
-      const char* v = next();
-      if (!v) return usage();
-      json_path = v;
+    } else if (opt == "--cores") {
+      r.count(cores, 1, 64);
+    } else if (opt == "--json") {
+      r.text(json_path);
     } else {
-      return usage();
+      r.reject();
     }
   }
-  if (!do_static && !do_shadow) return usage();
+  if (!r.finish()) return 2;
+  if (!do_static && !do_shadow) {
+    usage();
+    return 2;
+  }
   if (do_static && !kernels) {
     // File-mode static analysis is not wired up; the sweep is the product.
     std::cerr << "xrace: --static requires --kernels\n";
-    return usage();
+    usage();
+    return 2;
   }
 
   obs::Registry reg;
