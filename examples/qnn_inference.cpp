@@ -10,8 +10,9 @@
 //   pool2  2x2 max pooling -> 2x2x32
 //   fc     1x1 conv over the flattened 1x1x128 -> 10 class scores
 //
-// Weights are synthetic; per-channel thresholds are derived from activation
-// quantiles exactly as a trained thresholding pipeline would produce them.
+// Weights are synthetic; ConvLayerData::trained derives the thresholds from
+// each layer's accumulator quantiles on its actual input, exactly as a
+// trained thresholding pipeline would produce them.
 #include <cstdio>
 
 #include "kernels/conv_layer.hpp"
@@ -24,67 +25,6 @@ using kernels::ConvVariant;
 namespace {
 
 constexpr unsigned kBits = 4;
-
-/// Build layer data for a *given* input: random weights plus per-channel
-/// thresholds at the accumulator quantiles of this input (what a trained
-/// batch-norm-folding pipeline produces).
-ConvLayerData make_layer(const qnn::Tensor& input, const qnn::ConvSpec& spec,
-                         u64 seed) {
-  // Reuse the generator for weights/thresholds shape, then recompute
-  // thresholds against the real input.
-  ConvLayerData d = ConvLayerData::random(spec, seed);
-  d.input = input;
-
-  std::vector<qnn::Thresholds> per_channel;
-  const int levels = 1 << spec.out_bits;
-  const int positions = spec.out_h() * spec.out_w();
-  // With few spatial positions per channel (e.g. the FC layer's single
-  // output), per-channel quantiles degenerate; use quantiles of the whole
-  // layer's accumulator distribution instead (shared thresholds).
-  const bool global = positions < 2 * levels;
-  auto quantile_thresholds = [&](std::vector<i32>& accs) {
-    std::sort(accs.begin(), accs.end());
-    std::vector<i16> th(static_cast<size_t>(levels - 1));
-    i32 prev = -40000;
-    for (int i = 1; i < levels; ++i) {
-      i32 t = accs[std::min(accs.size() - 1,
-                            static_cast<size_t>(i) * accs.size() / levels)];
-      if (t <= prev) t = prev + 1;
-      th[static_cast<size_t>(i - 1)] = static_cast<i16>(
-          std::clamp<i32>(t, -32768, 32767));
-      prev = th[static_cast<size_t>(i - 1)];
-    }
-    return qnn::Thresholds(spec.out_bits, std::move(th));
-  };
-
-  if (global) {
-    std::vector<i32> accs;
-    for (int oc = 0; oc < spec.out_c; ++oc) {
-      for (int oy = 0; oy < spec.out_h(); ++oy) {
-        for (int ox = 0; ox < spec.out_w(); ++ox) {
-          accs.push_back(
-              qnn::conv_accumulate(input, d.weights, spec, oy, ox, oc));
-        }
-      }
-    }
-    const auto shared = quantile_thresholds(accs);
-    per_channel.assign(static_cast<size_t>(spec.out_c), shared);
-  } else {
-    for (int oc = 0; oc < spec.out_c; ++oc) {
-      std::vector<i32> accs;
-      accs.reserve(static_cast<size_t>(positions));
-      for (int oy = 0; oy < spec.out_h(); ++oy) {
-        for (int ox = 0; ox < spec.out_w(); ++ox) {
-          accs.push_back(
-              qnn::conv_accumulate(input, d.weights, spec, oy, ox, oc));
-        }
-      }
-      per_channel.push_back(quantile_thresholds(accs));
-    }
-  }
-  d.thresholds = qnn::LayerThresholds(spec.out_bits, std::move(per_channel));
-  return d;
-}
 
 int check(const qnn::Tensor& device, const qnn::Tensor& golden,
           const char* stage) {
@@ -126,9 +66,10 @@ int main() {
   c1.in_c = 16;
   c1.out_c = 16;
   c1.in_bits = c1.w_bits = c1.out_bits = kBits;
-  const auto l1 = make_layer(input, c1, 101);
-  const auto r1 = kernels::run_conv_layer(l1, ConvVariant::kXpulpNN_HwQ, cfg);
-  total_bad += check(r1.output, l1.golden(), "conv1");
+  const auto l1 = ConvLayerData::trained(c1, 101, input);
+  const auto r1 =
+      kernels::run_conv_layer(l1.data, ConvVariant::kXpulpNN_HwQ, cfg);
+  total_bad += check(r1.output, l1.golden, "conv1");
   total_cycles += r1.perf.cycles;
 
   // pool1: 8x8x16 -> 4x4x16.
@@ -143,9 +84,10 @@ int main() {
   c2.in_c = 16;
   c2.out_c = 32;
   c2.in_bits = c2.w_bits = c2.out_bits = kBits;
-  const auto l2 = make_layer(p1.output, c2, 202);
-  const auto r2 = kernels::run_conv_layer(l2, ConvVariant::kXpulpNN_HwQ, cfg);
-  total_bad += check(r2.output, l2.golden(), "conv2");
+  const auto l2 = ConvLayerData::trained(c2, 202, p1.output);
+  const auto r2 =
+      kernels::run_conv_layer(l2.data, ConvVariant::kXpulpNN_HwQ, cfg);
+  total_bad += check(r2.output, l2.golden, "conv2");
   total_cycles += r2.perf.cycles;
 
   // pool2: 4x4x32 -> 2x2x32.
@@ -159,9 +101,10 @@ int main() {
   qnn::Tensor flat({1, 1, 128});
   for (int i = 0; i < 128; ++i) flat.flat(i) = p2.output.flat(i);
   const auto fc = qnn::ConvSpec::linear(128, 10, kBits, kBits, kBits);
-  const auto lf = make_layer(flat, fc, 303);
-  const auto rf = kernels::run_conv_layer(lf, ConvVariant::kXpulpNN_HwQ, cfg);
-  total_bad += check(rf.output, lf.golden(), "fc");
+  const auto lf = ConvLayerData::trained(fc, 303, flat);
+  const auto rf =
+      kernels::run_conv_layer(lf.data, ConvVariant::kXpulpNN_HwQ, cfg);
+  total_bad += check(rf.output, lf.golden, "fc");
   total_cycles += rf.perf.cycles;
 
   // argmax over the 10 class codes.
@@ -169,7 +112,7 @@ int main() {
   for (int i = 1; i < 10; ++i) {
     if (rf.output.flat(i) > rf.output.flat(best)) best = i;
   }
-  const auto gf = lf.golden();
+  const auto& gf = lf.golden;
   int gbest = 0;
   for (int i = 1; i < 10; ++i) {
     if (gf.flat(i) > gf.flat(gbest)) gbest = i;

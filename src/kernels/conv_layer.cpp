@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
@@ -117,7 +116,11 @@ ConvMemLayout ConvMemLayout::plan(const qnn::ConvSpec& spec, ConvVariant v,
   return l;
 }
 
-ConvLayerData ConvLayerData::random(const qnn::ConvSpec& spec, u64 seed) {
+namespace {
+
+/// Input codes, then weights, in the seed's stream order; thresholds and
+/// the 8-bit shift are left to the caller.
+ConvLayerData draw(const qnn::ConvSpec& spec, u64 seed) {
   Rng rng(seed);
   ConvLayerData d;
   d.spec = spec;
@@ -131,68 +134,75 @@ ConvLayerData ConvLayerData::random(const qnn::ConvSpec& spec, u64 seed) {
   d.weights = qnn::FilterBank(spec.out_c, {spec.k_h, spec.k_w, spec.in_c});
   const auto [wlo, whi] = weight_range(spec.w_bits);
   for (auto& w : d.weights.data()) w = rng.uniform(wlo, whi);
+  return d;
+}
 
-  if (spec.out_bits == 8) {
-    // Pick the requantization shift so the largest accumulator maps near
-    // the top of the 8-bit output range.
-    i32 max_acc = 1;
-    for (int oy = 0; oy < spec.out_h(); ++oy) {
-      for (int ox = 0; ox < spec.out_w(); ++ox) {
-        for (int oc = 0; oc < spec.out_c; ++oc) {
-          max_acc = std::max(
-              max_acc, qnn::conv_accumulate(d.input, d.weights, spec, oy, ox, oc));
-        }
-      }
+/// Sub-byte thresholds at the quantiles of a layer's accumulators (HWC
+/// order): per channel, or one layer-global set shared by every channel.
+qnn::LayerThresholds quantile_layer(const std::vector<i32>& accs,
+                                    const qnn::ConvSpec& spec, bool global) {
+  for (const i32 acc : accs) {
+    if (acc < -32768 || acc > 32767) {
+      throw SimError("accumulator exceeds 16-bit pre-activation range");
     }
+  }
+  std::vector<qnn::Thresholds> per_channel;
+  if (global) {
+    per_channel.assign(static_cast<size_t>(spec.out_c),
+                       qnn::quantile_thresholds(accs, spec.out_bits));
+  } else {
+    const size_t channels = static_cast<size_t>(spec.out_c);
+    per_channel.reserve(channels);
+    for (size_t oc = 0; oc < channels; ++oc) {
+      std::vector<i32> ch;
+      ch.reserve(accs.size() / channels);
+      for (size_t i = oc; i < accs.size(); i += channels) ch.push_back(accs[i]);
+      per_channel.push_back(
+          qnn::quantile_thresholds(std::move(ch), spec.out_bits));
+    }
+  }
+  return qnn::LayerThresholds(spec.out_bits, std::move(per_channel));
+}
+
+}  // namespace
+
+ConvLayerData ConvLayerData::random(const qnn::ConvSpec& spec, u64 seed) {
+  ConvLayerData d = draw(spec, seed);
+  const std::vector<i32> accs =
+      qnn::conv_accumulators(d.input, d.weights, spec);
+  if (spec.out_bits == 8) {
+    // The shift maps the largest accumulator near the top of the range.
+    const i32 max_acc =
+        std::max(1, *std::max_element(accs.begin(), accs.end()));
     u32 shift = 0;
     while ((max_acc >> shift) > 255) ++shift;
     d.spec.requant_shift = shift;
-    return d;
+  } else {
+    d.thresholds = quantile_layer(accs, spec, /*global=*/false);
   }
-
-  // Per-channel thresholds from accumulator quantiles: this is what trained
-  // thresholds (absorbing bias + batchnorm) look like, and it exercises
-  // every output code.
-  std::vector<qnn::Thresholds> per_channel;
-  per_channel.reserve(static_cast<size_t>(spec.out_c));
-  const int n_pos = spec.out_h() * spec.out_w();
-  const int levels = 1 << spec.out_bits;
-  for (int oc = 0; oc < spec.out_c; ++oc) {
-    std::vector<i32> accs(static_cast<size_t>(n_pos));
-    for (int oy = 0; oy < spec.out_h(); ++oy) {
-      for (int ox = 0; ox < spec.out_w(); ++ox) {
-        const i32 acc =
-            qnn::conv_accumulate(d.input, d.weights, spec, oy, ox, oc);
-        if (acc < -32768 || acc > 32767) {
-          throw SimError("accumulator exceeds 16-bit pre-activation range");
-        }
-        accs[static_cast<size_t>(oy * spec.out_w() + ox)] = acc;
-      }
-    }
-    std::sort(accs.begin(), accs.end());
-    std::vector<i16> th(static_cast<size_t>(levels - 1));
-    i32 prev = std::numeric_limits<i32>::min();
-    for (int i = 1; i < levels; ++i) {
-      const size_t idx = std::min<size_t>(
-          accs.size() - 1, static_cast<size_t>(i) * accs.size() / levels);
-      i32 t = accs[idx];
-      if (t <= prev) t = prev + 1;
-      t = std::clamp<i32>(t, -32768, 32767);
-      if (t <= prev) t = prev;  // saturated top: duplicates are harmless
-      th[static_cast<size_t>(i - 1)] = static_cast<i16>(t);
-      prev = t;
-    }
-    // Restore ascending order if clamping flattened the top (duplicates at
-    // the extremes are tolerated by the tree walk; see thresholds tests).
-    for (int i = levels - 3; i >= 0; --i) {
-      if (th[static_cast<size_t>(i)] > th[static_cast<size_t>(i + 1)]) {
-        th[static_cast<size_t>(i)] = th[static_cast<size_t>(i + 1)];
-      }
-    }
-    per_channel.emplace_back(spec.out_bits, std::move(th));
-  }
-  d.thresholds = qnn::LayerThresholds(spec.out_bits, std::move(per_channel));
   return d;
+}
+
+TrainedLayer ConvLayerData::trained(const qnn::ConvSpec& spec, u64 seed,
+                                    qnn::Tensor input) {
+  if (input.shape() != qnn::Shape{spec.in_h, spec.in_w, spec.in_c}) {
+    throw SimError("layer input shape differs from the spec");
+  }
+  if (spec.out_bits == 8) {
+    ConvLayerData d = random(spec, seed);
+    d.input = std::move(input);
+    qnn::Tensor golden = d.golden();
+    return {std::move(d), std::move(golden)};
+  }
+  ConvLayerData d = draw(spec, seed);
+  d.input = std::move(input);
+  const std::vector<i32> accs =
+      qnn::conv_accumulators(d.input, d.weights, spec);
+  const int levels = 1 << spec.out_bits;
+  d.thresholds = quantile_layer(accs, spec,
+                                spec.out_h() * spec.out_w() < 2 * levels);
+  qnn::Tensor golden = qnn::requantize(accs, d.thresholds, spec);
+  return {std::move(d), std::move(golden)};
 }
 
 qnn::Tensor ConvLayerData::golden() const {

@@ -60,20 +60,41 @@ u32 mixed_sel_for(unsigned in_bits, unsigned w_bits);
 
 const char* variant_name(ConvVariant v);
 
+struct TrainedLayer;
+
 /// Host-side layer data (input codes, signed weights, per-channel
-/// thresholds for sub-byte outputs).
+/// thresholds for sub-byte outputs). The one owner of a layer's
+/// calibration (DESIGN.md §16): every factory derives the 8-bit shift or
+/// the quantile thresholds from one qnn::conv_accumulators sweep. Sub-byte
+/// factories throw SimError when an accumulator leaves the 16-bit
+/// pre-activation range.
 struct ConvLayerData {
   qnn::ConvSpec spec;
   qnn::Tensor input;
   qnn::FilterBank weights;
   qnn::LayerThresholds thresholds;  // empty for 8-bit outputs
 
-  /// Deterministic synthetic data with ranges chosen so sub-byte
-  /// accumulators fit the 16-bit pre-activation constraint.
+  /// Deterministic synthetic data: input codes and weights drawn from
+  /// `seed`, the 8-bit shift or per-channel quantile thresholds taken from
+  /// that input's accumulators.
   static ConvLayerData random(const qnn::ConvSpec& spec, u64 seed);
+
+  /// A layer deployed on a real `input`: random(spec, seed)'s weights and
+  /// 8-bit shift, with sub-byte thresholds trained on `input`'s
+  /// accumulators — per-channel quantiles, or layer-global ones when a
+  /// channel has fewer than 2 * 2^out_bits output positions (e.g. a linear
+  /// layer). Also returns the golden output of those accumulators. Throws
+  /// SimError when `input` is not the spec's input shape.
+  static TrainedLayer trained(const qnn::ConvSpec& spec, u64 seed,
+                              qnn::Tensor input);
 
   /// Golden output via the reference layers.
   qnn::Tensor golden() const;
+};
+
+struct TrainedLayer {
+  ConvLayerData data;
+  qnn::Tensor golden;
 };
 
 /// Guest memory placement of one layer.

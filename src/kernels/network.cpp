@@ -1,67 +1,16 @@
 #include "kernels/network.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "qnn/ref_layers.hpp"
 
 namespace xpulp::kernels {
 
-namespace {
-
-/// Threshold construction against the layer's actual input: per-channel
-/// accumulator quantiles, falling back to layer-global quantiles when a
-/// channel has too few spatial positions (e.g. fully-connected layers).
-qnn::LayerThresholds trained_thresholds(const qnn::Tensor& input,
-                                        const qnn::FilterBank& weights,
-                                        const qnn::ConvSpec& spec) {
-  const int levels = 1 << spec.out_bits;
-  const int positions = spec.out_h() * spec.out_w();
-  auto from_accs = [&](std::vector<i32>& accs) {
-    std::sort(accs.begin(), accs.end());
-    std::vector<i16> th(static_cast<size_t>(levels - 1));
-    i32 prev = -40000;
-    for (int i = 1; i < levels; ++i) {
-      i32 t = accs[std::min(accs.size() - 1,
-                            static_cast<size_t>(i) * accs.size() / levels)];
-      if (t <= prev) t = prev + 1;
-      t = std::clamp<i32>(t, -32768, 32767);
-      th[static_cast<size_t>(i - 1)] = static_cast<i16>(t);
-      prev = t;
-    }
-    return th;
-  };
-
-  std::vector<qnn::Thresholds> per_channel;
-  if (positions < 2 * levels) {
-    std::vector<i32> accs;
-    for (int oc = 0; oc < spec.out_c; ++oc) {
-      for (int oy = 0; oy < spec.out_h(); ++oy) {
-        for (int ox = 0; ox < spec.out_w(); ++ox) {
-          accs.push_back(qnn::conv_accumulate(input, weights, spec, oy, ox, oc));
-        }
-      }
-    }
-    const qnn::Thresholds shared(spec.out_bits, from_accs(accs));
-    per_channel.assign(static_cast<size_t>(spec.out_c), shared);
-  } else {
-    for (int oc = 0; oc < spec.out_c; ++oc) {
-      std::vector<i32> accs;
-      for (int oy = 0; oy < spec.out_h(); ++oy) {
-        for (int ox = 0; ox < spec.out_w(); ++ox) {
-          accs.push_back(qnn::conv_accumulate(input, weights, spec, oy, ox, oc));
-        }
-      }
-      per_channel.emplace_back(spec.out_bits, from_accs(accs));
-    }
-  }
-  return qnn::LayerThresholds(spec.out_bits, std::move(per_channel));
-}
-
-}  // namespace
-
 Network::Network(qnn::Shape input_shape, unsigned bits, u64 seed)
-    : bits_(bits), cur_bits_(bits), seed_(seed), shape_(input_shape) {
+    : bits_(bits),
+      cur_bits_(bits),
+      seed_(seed),
+      input_shape_(input_shape),
+      shape_(input_shape) {
   if (bits != 2 && bits != 4 && bits != 8) {
     throw SimError("network bits must be 2, 4 or 8");
   }
@@ -147,6 +96,16 @@ Network& Network::linear(int out_features, LayerPrecision p) {
 NetworkResult Network::run(const qnn::Tensor& input,
                            const sim::CoreConfig& cfg,
                            ConvVariant variant) const {
+  if (input.shape() != input_shape_) {
+    throw SimError("network input shape differs from the declared shape");
+  }
+  const i32 code_max = static_cast<i32>((1u << bits_) - 1);
+  for (const i32 code : input.data()) {
+    if (code < 0 || code > code_max) {
+      throw SimError("network input code outside [0, 2^bits)");
+    }
+  }
+
   NetworkResult res;
   qnn::Tensor act = input;
 
@@ -156,25 +115,18 @@ NetworkResult Network::run(const qnn::Tensor& input,
     switch (step.kind) {
       case Step::Kind::kConv:
       case Step::Kind::kLinear: {
-        ConvLayerData data = ConvLayerData::random(step.spec, step.seed);
-        if (step.kind == Step::Kind::kLinear) {
-          qnn::Tensor flat({1, 1, act.elems()});
-          flat.data() = act.data();
-          data.input = flat;
-        } else {
-          data.input = act;
-        }
-        if (step.spec.out_bits != 8) {
-          data.thresholds =
-              trained_thresholds(data.input, data.weights, step.spec);
-        }
+        // In the spec's shape: a linear layer sees the activations flat.
+        qnn::Tensor layer_in(
+            {step.spec.in_h, step.spec.in_w, step.spec.in_c});
+        layer_in.data() = act.data();
+        const auto [data, gold] = ConvLayerData::trained(
+            step.spec, step.seed, std::move(layer_in));
         // Mixed-precision layers always dispatch to the virtual-SIMD
         // kernel; the variant parameter only selects among uniform ones.
         const ConvVariant v = step.spec.in_bits != step.spec.w_bits
                                   ? ConvVariant::kXpulpNN_Mixed
                                   : variant;
         const ConvRunResult r = run_conv_layer(data, v, cfg);
-        const qnn::Tensor gold = data.golden();
         st.matched_golden = (r.output == gold);
         st.cycles = r.perf.cycles;
         st.macs = r.macs;

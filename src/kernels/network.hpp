@@ -42,9 +42,10 @@ struct LayerPrecision {
 };
 
 /// A feed-forward stack of quantized layers. Weights/thresholds are
-/// generated per layer: random weights, thresholds at the accumulator
-/// quantiles of the layer's *actual* input (what threshold training
-/// produces). Build once, then run() against any core configuration.
+/// generated per layer by ConvLayerData::trained: random weights,
+/// thresholds at the accumulator quantiles of the layer's *actual* input
+/// (what threshold training produces). Build once, then run() against any
+/// core configuration.
 class Network {
  public:
   /// `bits` applies to every tensor in the network (uniform quantization,
@@ -73,7 +74,9 @@ class Network {
   /// Run the whole network on-device for `input` (unsigned codes of the
   /// declared shape). Each layer's device output is checked against the
   /// golden model of that layer; the golden pipeline continues from the
-  /// device output so a single mismatch cannot cascade silently.
+  /// device output so a single mismatch cannot cascade silently. Throws
+  /// SimError when `input` differs from the declared shape or holds a code
+  /// outside [0, 2^bits).
   NetworkResult run(const qnn::Tensor& input, const sim::CoreConfig& cfg,
                     ConvVariant variant = ConvVariant::kXpulpNN_HwQ) const;
 
@@ -89,6 +92,7 @@ class Network {
   unsigned bits_;
   unsigned cur_bits_;  // activation width flowing out of the last layer
   u64 seed_;
+  qnn::Shape input_shape_;
   qnn::Shape shape_;  // evolves as layers are appended
   std::vector<Step> plan_;
 };

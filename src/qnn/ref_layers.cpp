@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 namespace xpulp::qnn {
@@ -42,42 +43,61 @@ i32 conv_accumulate(const Tensor& in, const FilterBank& w, const ConvSpec& s,
   return acc;
 }
 
-Tensor conv2d_ref(const Tensor& in, const FilterBank& w,
-                  const LayerThresholds& th, const ConvSpec& s) {
+std::vector<i32> conv_accumulators(const Tensor& in, const FilterBank& w,
+                                   const ConvSpec& s) {
   assert(in.shape().h == s.in_h && in.shape().w == s.in_w &&
          in.shape().c == s.in_c);
   assert(w.count() == s.out_c && w.filter_elems() == s.filter_elems());
-  if (th.channels() != s.out_c || th.q_bits() != s.out_bits) {
-    throw std::invalid_argument("threshold set does not match layer");
-  }
-  Tensor out({s.out_h(), s.out_w(), s.out_c});
+  const size_t n = static_cast<size_t>(s.filter_elems());
+  std::vector<i32> accs;
+  accs.reserve(static_cast<size_t>(s.out_h()) * s.out_w() * s.out_c);
   for (int oy = 0; oy < s.out_h(); ++oy) {
     for (int ox = 0; ox < s.out_w(); ++ox) {
-      for (int oc = 0; oc < s.out_c; ++oc) {
-        const i32 acc = conv_accumulate(in, w, s, oy, ox, oc);
-        // The hardware quantization unit consumes 16-bit pre-activations;
-        // data generators must keep accumulators in range.
-        assert(acc >= -32768 && acc <= 32767);
-        out.at(oy, ox, oc) = static_cast<i32>(th.channel(oc).quantize(acc));
+      // One im2col column per output pixel, dotted with every filter.
+      const std::vector<i32> col = im2col_ref(in, s, oy, ox);
+      for (size_t oc = 0; oc < static_cast<size_t>(s.out_c); ++oc) {
+        accs.push_back(std::inner_product(col.begin(), col.end(),
+                                          w.data().begin() + oc * n, 0));
       }
     }
+  }
+  return accs;
+}
+
+Tensor requantize(const std::vector<i32>& accs, const LayerThresholds& th,
+                  const ConvSpec& s) {
+  Tensor out({s.out_h(), s.out_w(), s.out_c});
+  assert(accs.size() == out.data().size());
+  for (size_t i = 0; i < accs.size(); ++i) {
+    // The hardware quantization unit consumes 16-bit pre-activations;
+    // data generators must keep accumulators in range.
+    assert(accs[i] >= -32768 && accs[i] <= 32767);
+    const int oc = static_cast<int>(i % static_cast<size_t>(s.out_c));
+    out.data()[i] = static_cast<i32>(th.channel(oc).quantize(accs[i]));
   }
   return out;
 }
 
-Tensor conv2d_ref_u8(const Tensor& in, const FilterBank& w,
-                     const ConvSpec& s) {
+Tensor requantize_u8(const std::vector<i32>& accs, const ConvSpec& s) {
   Tensor out({s.out_h(), s.out_w(), s.out_c});
-  for (int oy = 0; oy < s.out_h(); ++oy) {
-    for (int ox = 0; ox < s.out_w(); ++ox) {
-      for (int oc = 0; oc < s.out_c; ++oc) {
-        const i32 acc = conv_accumulate(in, w, s, oy, ox, oc);
-        const i32 scaled = acc >> s.requant_shift;
-        out.at(oy, ox, oc) = std::clamp<i32>(scaled, 0, 255);
-      }
-    }
+  assert(accs.size() == out.data().size());
+  for (size_t i = 0; i < accs.size(); ++i) {
+    out.data()[i] = std::clamp<i32>(accs[i] >> s.requant_shift, 0, 255);
   }
   return out;
+}
+
+Tensor conv2d_ref(const Tensor& in, const FilterBank& w,
+                  const LayerThresholds& th, const ConvSpec& s) {
+  if (th.channels() != s.out_c || th.q_bits() != s.out_bits) {
+    throw std::invalid_argument("threshold set does not match layer");
+  }
+  return requantize(conv_accumulators(in, w, s), th, s);
+}
+
+Tensor conv2d_ref_u8(const Tensor& in, const FilterBank& w,
+                     const ConvSpec& s) {
+  return requantize_u8(conv_accumulators(in, w, s), s);
 }
 
 Tensor linear_ref(const Tensor& in, const FilterBank& w,

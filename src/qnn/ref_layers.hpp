@@ -71,6 +71,20 @@ struct ConvSpec {
 i32 conv_accumulate(const Tensor& in, const FilterBank& w, const ConvSpec& s,
                     int oy, int ox, int oc);
 
+/// Every accumulator of the layer in output (HWC) order: element
+/// (oy * out_w + ox) * out_c + oc. The one full-layer reference sweep;
+/// the golden outputs, the 8-bit shift and the trained thresholds all
+/// derive from it.
+std::vector<i32> conv_accumulators(const Tensor& in, const FilterBank& w,
+                                   const ConvSpec& s);
+
+/// Staircase re-quantization of a layer's accumulators (out_bits in {2, 4}).
+Tensor requantize(const std::vector<i32>& accs, const LayerThresholds& th,
+                  const ConvSpec& s);
+
+/// The 8-bit scale/clamp re-quantization of a layer's accumulators.
+Tensor requantize_u8(const std::vector<i32>& accs, const ConvSpec& s);
+
 /// Full conv layer with staircase re-quantization (out_bits in {2, 4}).
 Tensor conv2d_ref(const Tensor& in, const FilterBank& w,
                   const LayerThresholds& th, const ConvSpec& s);

@@ -72,6 +72,22 @@ Thresholds Thresholds::random(Rng& rng, unsigned q_bits, i16 lo, i16 hi) {
   return Thresholds(q_bits, std::move(s));
 }
 
+Thresholds quantile_thresholds(std::vector<i32> accs, unsigned q_bits) {
+  assert(!accs.empty());
+  std::sort(accs.begin(), accs.end());
+  const size_t levels = size_t{1} << q_bits;
+  std::vector<i16> s(levels - 1);
+  i32 prev = std::numeric_limits<i32>::min();
+  for (size_t i = 1; i < levels; ++i) {
+    i32 t = accs[std::min(accs.size() - 1, i * accs.size() / levels)];
+    if (t <= prev) t = prev + 1;
+    prev = std::clamp<i32>(t, std::numeric_limits<i16>::min(),
+                           std::numeric_limits<i16>::max());
+    s[i - 1] = static_cast<i16>(prev);
+  }
+  return Thresholds(q_bits, std::move(s));
+}
+
 u32 Thresholds::quantize(i32 x) const {
   u32 code = 0;
   for (const i16 t : sorted_) {

@@ -53,6 +53,14 @@ class Thresholds {
   std::vector<i16> eytzinger_;
 };
 
+/// Thresholds at the quantiles of a set of accumulators: what trained
+/// thresholds (absorbing bias and batch normalization) look like, and a
+/// staircase that uses every output code. The i-th of the 2^q_bits - 1
+/// thresholds is the (i * n / 2^q_bits)-th smallest accumulator, raised
+/// where needed to keep the staircase strictly rising, then clamped to
+/// int16 (a saturated top may repeat). `accs` must not be empty.
+Thresholds quantile_thresholds(std::vector<i32> accs, unsigned q_bits);
+
 /// Per-output-channel threshold sets for a layer, plus serialization to the
 /// guest memory layout consumed by pv.qnt and the software tree kernels.
 class LayerThresholds {

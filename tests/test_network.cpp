@@ -101,6 +101,32 @@ TEST(Network, RejectsBadBits) {
   EXPECT_THROW(Network({4, 4, 8}, 3, 1), SimError);
 }
 
+TEST(Network, RejectsInputOffTheDeclaredShapeOrWidth) {
+  Network net({6, 6, 16}, 4, 21);
+  net.conv(8).maxpool();
+  const auto cfg = sim::CoreConfig::extended();
+  // The declared input shape, not the shape after the appended layers.
+  EXPECT_THROW(net.run(random_input({3, 3, 8}, 4, 2), cfg), SimError);
+  EXPECT_THROW(net.run(random_input({6, 6, 8}, 4, 2), cfg), SimError);
+  auto in = random_input({6, 6, 16}, 4, 2);
+  in.flat(5) = 16;
+  EXPECT_THROW(net.run(in, cfg), SimError);
+  in.flat(5) = -1;
+  EXPECT_THROW(net.run(in, cfg), SimError);
+  in.flat(5) = 15;
+  EXPECT_TRUE(net.run(in, cfg).all_matched);
+}
+
+TEST(Network, SubByteLayerOverflowingInt16Throws) {
+  // 8-bit products into a 4-bit staircase: the layer's accumulators on
+  // its real input leave the 16-bit pre-activation range.
+  Network net({8, 8, 16}, 8, 41);
+  net.conv(16, 3, 1, LayerPrecision{/*w_bits=*/8, /*out_bits=*/4});
+  EXPECT_THROW(net.run(random_input({8, 8, 16}, 8, 3),
+                       sim::CoreConfig::extended()),
+               SimError);
+}
+
 // ---- per-layer mixed precision ----
 
 TEST(Network, MixedPrecisionStackBitExact) {

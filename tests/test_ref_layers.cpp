@@ -1,8 +1,9 @@
 // Golden reference layers: internal consistency (im2col x filter ==
-// accumulate), pooling/ReLU semantics, and the layer-data generator's
-// invariants.
+// accumulate == the full-layer sweep), pooling/ReLU semantics, the
+// quantile threshold builder, and the layer-data factories' invariants.
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "kernels/conv_layer.hpp"
 #include "qnn/ref_layers.hpp"
 
@@ -18,19 +19,45 @@ ConvSpec small_spec(unsigned bits) {
   return s;
 }
 
+/// Channel `oc`'s accumulators in output-position order.
+std::vector<i32> channel_accs(const kernels::ConvLayerData& d, int oc) {
+  std::vector<i32> accs;
+  for (int oy = 0; oy < d.spec.out_h(); ++oy) {
+    for (int ox = 0; ox < d.spec.out_w(); ++ox) {
+      accs.push_back(conv_accumulate(d.input, d.weights, d.spec, oy, ox, oc));
+    }
+  }
+  return accs;
+}
+
 TEST(RefLayers, Im2colMatchesAccumulate) {
-  const ConvSpec s = small_spec(4);
-  auto data = kernels::ConvLayerData::random(s, 1);
-  for (int oy : {0, 2, 5}) {
-    for (int ox : {0, 3, 5}) {
-      const auto col = im2col_ref(data.input, s, oy, ox);
-      ASSERT_EQ(static_cast<int>(col.size()), s.filter_elems());
-      for (int oc = 0; oc < s.out_c; ++oc) {
-        i32 dot = 0;
-        for (int i = 0; i < s.filter_elems(); ++i) {
-          dot += col[static_cast<size_t>(i)] * data.weights.flat(oc, i);
+  // Every position of a padded conv, a stride-2 conv and a linear layer:
+  // im2col x filter == conv_accumulate == the full-layer sweep (HWC order).
+  ConvSpec strided = small_spec(4);
+  strided.in_h = strided.in_w = 7;
+  strided.stride = 2;
+  for (const ConvSpec& s :
+       {small_spec(4), strided, ConvSpec::linear(24, 5, 4, 4, 4)}) {
+    auto data = kernels::ConvLayerData::random(s, 1);
+    const std::vector<i32> accs =
+        conv_accumulators(data.input, data.weights, s);
+    ASSERT_EQ(accs.size(),
+              static_cast<size_t>(s.out_h() * s.out_w() * s.out_c));
+    size_t next = 0;
+    for (int oy = 0; oy < s.out_h(); ++oy) {
+      for (int ox = 0; ox < s.out_w(); ++ox) {
+        const auto col = im2col_ref(data.input, s, oy, ox);
+        ASSERT_EQ(static_cast<int>(col.size()), s.filter_elems());
+        for (int oc = 0; oc < s.out_c; ++oc) {
+          i32 dot = 0;
+          for (int i = 0; i < s.filter_elems(); ++i) {
+            dot += col[static_cast<size_t>(i)] * data.weights.flat(oc, i);
+          }
+          const i32 acc =
+              conv_accumulate(data.input, data.weights, s, oy, ox, oc);
+          EXPECT_EQ(dot, acc);
+          EXPECT_EQ(accs[next++], acc);
         }
-        EXPECT_EQ(dot, conv_accumulate(data.input, data.weights, s, oy, ox, oc));
       }
     }
   }
@@ -147,6 +174,10 @@ TEST(RefLayers, DataGeneratorInvariants) {
       EXPECT_LT(w, wlim);
     }
     EXPECT_EQ(data.thresholds.channels(), s.out_c);
+    for (int oc = 0; oc < s.out_c; ++oc) {
+      EXPECT_EQ(data.thresholds.channel(oc).sorted(),
+                quantile_thresholds(channel_accs(data, oc), bits).sorted());
+    }
     // The golden output uses every code level somewhere (quantile-derived
     // thresholds guarantee balanced codes).
     const Tensor g = data.golden();
@@ -154,6 +185,61 @@ TEST(RefLayers, DataGeneratorInvariants) {
     for (int i = 0; i < g.elems(); ++i) hist[static_cast<size_t>(g.flat(i))]++;
     for (const int h : hist) EXPECT_GT(h, 0);
   }
+}
+
+TEST(RefLayers, QuantileThresholdsRiseStrictlyAndClamp) {
+  // levels = 4 over n = 8: picks the 2nd, 4th and 6th smallest.
+  EXPECT_EQ(quantile_thresholds({7, 1, 6, 2, 5, 3, 4, 0}, 2).sorted(),
+            (std::vector<i16>{2, 4, 6}));
+  // Ties are raised to keep the staircase strictly rising.
+  EXPECT_EQ(quantile_thresholds({5, 5, 5, 5}, 2).sorted(),
+            (std::vector<i16>{5, 6, 7}));
+  // A saturated top is clamped to int16 and repeats.
+  EXPECT_EQ(quantile_thresholds({32766, 32766, 32766, 32766}, 2).sorted(),
+            (std::vector<i16>{32766, 32767, 32767}));
+}
+
+TEST(RefLayers, TrainedLayerCalibratesOnItsInput) {
+  // 6x6 = 36 positions >= 2 * 2^4: per-channel quantiles of the input's
+  // accumulators; the weights and input are random()'s and the caller's.
+  for (unsigned bits : {2u, 4u}) {
+    const ConvSpec s = small_spec(bits);
+    const Tensor in = kernels::ConvLayerData::random(s, 6).input;
+    const auto t = kernels::ConvLayerData::trained(s, 7, in);
+    EXPECT_EQ(t.data.input, in);
+    EXPECT_EQ(t.data.weights.data(),
+              kernels::ConvLayerData::random(s, 7).weights.data());
+    for (int oc = 0; oc < s.out_c; ++oc) {
+      EXPECT_EQ(t.data.thresholds.channel(oc).sorted(),
+                quantile_thresholds(channel_accs(t.data, oc), bits).sorted());
+    }
+    EXPECT_EQ(t.golden, conv2d_ref(in, t.data.weights, t.data.thresholds, s));
+  }
+  EXPECT_THROW(
+      kernels::ConvLayerData::trained(small_spec(4), 7, Tensor({6, 6, 4})),
+      SimError);
+}
+
+TEST(RefLayers, TrainedLinearLayerSharesLayerGlobalThresholds) {
+  const ConvSpec s = ConvSpec::linear(32, 6, 4, 4, 4);
+  const Tensor in = kernels::ConvLayerData::random(s, 8).input;
+  const auto t = kernels::ConvLayerData::trained(s, 9, in);
+  const std::vector<i32> accs = conv_accumulators(in, t.data.weights, s);
+  for (int oc = 0; oc < s.out_c; ++oc) {
+    EXPECT_EQ(t.data.thresholds.channel(oc).sorted(),
+              quantile_thresholds(accs, 4).sorted());
+  }
+  EXPECT_EQ(t.golden, conv2d_ref(in, t.data.weights, t.data.thresholds, s));
+}
+
+TEST(RefLayers, TrainedEightBitLayerKeepsTheSeedShift) {
+  const ConvSpec s = small_spec(8);
+  const Tensor in = kernels::ConvLayerData::random(s, 10).input;
+  const auto t = kernels::ConvLayerData::trained(s, 11, in);
+  const auto r = kernels::ConvLayerData::random(s, 11);
+  EXPECT_EQ(t.data.spec.requant_shift, r.spec.requant_shift);
+  EXPECT_EQ(t.data.weights.data(), r.weights.data());
+  EXPECT_EQ(t.golden, conv2d_ref_u8(in, r.weights, r.spec));
 }
 
 }  // namespace
