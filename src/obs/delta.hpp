@@ -111,6 +111,7 @@ inline sim::SuperblockStats diff(const sim::SuperblockStats& a,
                                  const sim::SuperblockStats& b) {
   sim::SuperblockStats d;
   d.blocks_compiled = a.blocks_compiled - b.blocks_compiled;
+  d.plan_reuses = a.plan_reuses - b.plan_reuses;
   d.compile_rejects = a.compile_rejects - b.compile_rejects;
   d.entries = a.entries - b.entries;
   d.entry_rejects = a.entry_rejects - b.entry_rejects;

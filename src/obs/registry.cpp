@@ -246,6 +246,7 @@ void add_superblock_stats(Registry& r, std::string_view prefix,
                           u64 total_instructions) {
   const std::string pre = std::string(prefix) + ".";
   r.counter(pre + "blocks_compiled", s.blocks_compiled);
+  r.counter(pre + "plan_reuses", s.plan_reuses);
   r.counter(pre + "compile_rejects", s.compile_rejects);
   r.counter(pre + "entries", s.entries);
   r.counter(pre + "entry_rejects", s.entry_rejects);

@@ -1,7 +1,6 @@
 #include "sim/core.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "common/bitops.hpp"
@@ -54,14 +53,6 @@ void add_delta(RegionCounters& dst, const RegionCounters& now,
 }
 
 }  // namespace
-
-bool superblock_default() {
-  static const bool enabled = [] {
-    const char* e = std::getenv("XPULP_SUPERBLOCK");
-    return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-  }();
-  return enabled;
-}
 
 std::string perf_invariant_violation(const PerfCounters& p) {
   const auto diag = [](const char* what, u64 lhs, u64 rhs) {
@@ -167,8 +158,8 @@ const Instr& Core::fetch_decode(addr_t pc) {
 
 void Core::icache_invalidate(addr_t a, unsigned size) {
   // Superblock coherence rides the same store path: two compares when any
-  // plan exists, a slow-path walk only on actual overlap.
-  if (!sb_plans_.empty() && static_cast<u64>(a) + size > sb_lo_ &&
+  // binding exists, a slow-path walk only on actual overlap.
+  if (!sb_bound_.empty() && static_cast<u64>(a) + size > sb_lo_ &&
       a < sb_hi_) [[unlikely]] {
     sb_invalidate_range(a, size);
   }
@@ -190,7 +181,7 @@ void Core::require(bool cond, const Instr& in) {
 void Core::invalidate_decode_cache() {
   std::fill(icache_valid_.begin(), icache_valid_.end(), 0);
   decode_gen_ += 1;
-  sb_stats_.invalidations += sb_plans_.size();
+  sb_stats_.invalidations += sb_bound_.size();
   sb_clear();
 }
 

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,11 +26,6 @@
 namespace xpulp::sim {
 
 struct SuperblockPlan;  // sim/superblock.hpp (host-side compiled blocks)
-
-/// Default of CoreConfig::superblock: false, flipped by the environment
-/// variable XPULP_SUPERBLOCK=1 so CI can rerun whole suites with the
-/// superblock engine active without threading a flag through every driver.
-bool superblock_default();
 
 struct CoreConfig {
   bool xpulpv2 = true;    // hardware loops, post-inc LSU, 8/16-bit SIMD, MAC
@@ -47,8 +43,8 @@ struct CoreConfig {
   /// enforced by the three-way differential dispatch test. Requires the
   /// fast dispatch path and clock gating (the ungated operand-broadcast
   /// model is inherently per-instruction); the engine simply stays cold
-  /// when either is off.
-  bool superblock = superblock_default();
+  /// when either is off. On by default; false pins the plain fast path.
+  bool superblock = true;
   std::string name = "xpulpnn";
 
   static CoreConfig extended() { return CoreConfig{}; }
@@ -134,7 +130,10 @@ std::string perf_invariant_violation(const PerfCounters& p);
 /// not part of CoreState). `fused_instructions / perf.instructions` is the
 /// hit rate; the bail counters attribute every fallback to its cause.
 struct SuperblockStats {
-  u64 blocks_compiled = 0;
+  u64 blocks_compiled = 0;   // plans actually compiled
+  /// Entry pcs bound to an already-compiled plan of identical content (an
+  /// unrolled copy of a body) instead of compiling a new one.
+  u64 plan_reuses = 0;
   u64 compile_rejects = 0;   // regions that failed static eligibility
   u64 entries = 0;           // fused bursts entered
   u64 entry_rejects = 0;     // guard failures at entry (interpreter ran)
@@ -142,8 +141,8 @@ struct SuperblockStats {
   u64 fused_instructions = 0;
   u64 smc_bails = 0;   // self-modifying store hit the live block
   u64 trap_bails = 0;  // memory fault repaired to an exact boundary
-  u64 invalidations = 0;  // plans evicted by stores / cache flushes
-  /// Plans evicted because a write to the mpc CSR changed the selector
+  u64 invalidations = 0;  // bindings evicted by stores / cache flushes
+  /// Bindings evicted because a write to the mpc CSR changed the selector
   /// their fused mixed dot ops had baked in (demote-and-recompile, never
   /// silently misfuse).
   u64 mpc_evictions = 0;
@@ -530,13 +529,21 @@ class Core {
   /// the interpreter). `branch_pc` is nonzero for backward-branch
   /// candidates (the recorded backedge), zero for hardware-loop ones.
   u64 superblock_enter(addr_t start, addr_t branch_pc, u64 budget);
-  SuperblockPlan* sb_find(addr_t start);
-  SuperblockPlan* sb_compile(addr_t start, addr_t branch_pc);
-  u64 sb_execute(SuperblockPlan& plan, u64 budget);
+  /// Bind `start` to the plan of the body there: an identical plan from
+  /// the content table, else a fresh compile. nullptr = ineligible
+  /// (recorded in sb_rejects_).
+  SuperblockPlan* sb_bind(addr_t start, addr_t branch_pc);
+  std::unique_ptr<SuperblockPlan> sb_compile(addr_t start, addr_t branch_pc,
+                                             addr_t end);
+  /// Drop one binding's reference to `plan`; frees it at zero unless a
+  /// burst is executing it (sb_exit frees it then).
+  void sb_release(SuperblockPlan* plan);
+  void sb_free(SuperblockPlan* plan);
+  u64 sb_execute(SuperblockPlan& plan, addr_t entry, u64 budget);
   /// `Sampled` arms per-iteration/per-op sampling-deadline checks that
   /// repair the burst to an exact boundary via the plan's prefix tables.
   template <bool Sampled>
-  u64 sb_execute_impl(SuperblockPlan& plan, u64 budget);
+  u64 sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget);
   void sb_exit(SuperblockPlan& plan);
   /// Heat counter for taken backward conditional branches; promotes the
   /// target to a superblock candidate past the threshold.
@@ -546,8 +553,8 @@ class Core {
   /// Evict plans whose fused mixed dot ops baked a now-stale mpc selector
   /// (called on every value-changing mpc write).
   void sb_evict_mixed_plans();
-  /// Drop every plan, reject record, heat entry and pending candidate
-  /// (reset, decode-cache flush, ISA feature change).
+  /// Drop every binding, plan, reject record, heat entry and pending
+  /// candidate (reset, decode-cache flush, ISA feature change).
   void sb_clear();
 
   void update_hwl_active() {
@@ -644,14 +651,20 @@ class Core {
   /// boundary (set by hwloop setup/backedges and hot backward branches).
   addr_t sb_candidate_ = kNoSbCandidate;
   addr_t sb_candidate_branch_ = 0;  // backedge pc for branch candidates
-  std::vector<std::unique_ptr<SuperblockPlan>> sb_plans_;
+  /// Content table: every compiled plan, indexed by the hash of its key
+  /// (a multimap so colliding keys coexist; lookups compare the key).
+  std::unordered_multimap<u64, std::unique_ptr<SuperblockPlan>> sb_plans_;
+  /// Entry pc -> the plan that runs there. Each binding holds one of the
+  /// plan's refs and is evicted alone when a store hits its copy.
+  std::unordered_map<addr_t, SuperblockPlan*> sb_bound_;
   /// Regions that failed static eligibility, so hot-but-uncompilable
   /// loops don't re-walk the block on every backedge. Range-keyed: a
   /// store into the region clears the record (the patched code may now
   /// compile).
   std::vector<std::pair<addr_t, addr_t>> sb_rejects_;
-  addr_t sb_lo_ = 0, sb_hi_ = 0;  // union extent of plans (store filter)
+  addr_t sb_lo_ = 0, sb_hi_ = 0;  // union extent of bindings (store filter)
   SuperblockPlan* sb_active_ = nullptr;  // plan a burst is executing now
+  addr_t sb_active_entry_ = 0;            // ... and the entry it runs at
   bool sb_active_dirty_ = false;  // live plan was stored into (SMC bail)
   std::array<SbHeatEntry, kSbHeatSize> sb_heat_{};
   SuperblockStats sb_stats_;

@@ -256,43 +256,62 @@ void Core::sb_note_backedge(addr_t branch_pc, addr_t target) {
   }
 }
 
-SuperblockPlan* Core::sb_find(addr_t start) {
-  // Linear scan: a program has a handful of hot loops, not hundreds.
-  for (const auto& p : sb_plans_) {
-    if (p->start == start) return p.get();
-  }
-  return nullptr;
+u64 SbKey::hash() const {
+  // FNV-1a over the encodings, then the scalar fields.
+  u64 h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](u64 v) {
+    h ^= v;
+    h *= 0x100000001b3ull;
+  };
+  for (const u32 r : raw) mix(r);
+  mix(pc);
+  mix(static_cast<u64>(mpc) << 1 | static_cast<u64>(is_hwloop));
+  return h;
 }
 
 void Core::sb_recompute_extent() {
   sb_lo_ = ~addr_t{0};
   sb_hi_ = 0;
-  for (const auto& p : sb_plans_) {
-    sb_lo_ = std::min(sb_lo_, p->start);
-    sb_hi_ = std::max(sb_hi_, p->end);
+  for (const auto& [entry, p] : sb_bound_) {
+    sb_lo_ = std::min(sb_lo_, entry);
+    sb_hi_ = std::max(sb_hi_, entry + p->len);
   }
-  if (sb_plans_.empty()) sb_lo_ = sb_hi_ = 0;
+  if (sb_bound_.empty()) sb_lo_ = sb_hi_ = 0;
+}
+
+void Core::sb_free(SuperblockPlan* plan) {
+  auto [it, last] = sb_plans_.equal_range(plan->key.hash());
+  for (; it != last; ++it) {
+    if (it->second.get() == plan) {
+      sb_plans_.erase(it);
+      return;
+    }
+  }
+}
+
+void Core::sb_release(SuperblockPlan* plan) {
+  if (--plan->refs == 0 && plan != sb_active_) sb_free(plan);
 }
 
 void Core::sb_invalidate_range(addr_t a, unsigned size) {
   const u64 sa = a;
   const u64 se = sa + size;
+  if (sb_active_ != nullptr && se > sb_active_entry_ &&
+      sa < static_cast<u64>(sb_active_entry_) + sb_active_->len) {
+    // The fused loop is executing this copy right now (self-modifying
+    // store): the burst bails at the next op boundary. The plan itself
+    // outlives the burst even when this was its last binding (sb_exit).
+    sb_active_dirty_ = true;
+  }
   bool changed = false;
-  for (auto it = sb_plans_.begin(); it != sb_plans_.end();) {
-    SuperblockPlan& p = **it;
-    if (se > p.start && sa < p.end) {
+  for (auto it = sb_bound_.begin(); it != sb_bound_.end();) {
+    SuperblockPlan* p = it->second;
+    if (se > it->first && sa < static_cast<u64>(it->first) + p->len) {
+      // Only this copy's binding goes; other copies keep the shared plan.
       sb_stats_.invalidations += 1;
       changed = true;
-      if (&p == sb_active_) {
-        // The fused loop is executing this plan right now (self-modifying
-        // store): the storage can't be freed under it. Flag it — the burst
-        // bails at the next op boundary and sb_exit() evicts it.
-        sb_active_dirty_ = true;
-        p.dead = true;
-        ++it;
-      } else {
-        it = sb_plans_.erase(it);
-      }
+      it = sb_bound_.erase(it);
+      sb_release(p);
     } else {
       ++it;
     }
@@ -311,24 +330,20 @@ void Core::sb_invalidate_range(addr_t a, unsigned size) {
 void Core::sb_evict_mixed_plans() {
   // A value-changing write to the precision-status CSR (or a checkpoint
   // restore with a different mpc) invalidates every plan that baked the
-  // old selector into its fused dot bodies. CSR ops never compile into a
-  // block, so this cannot fire from inside a burst executing the plan —
-  // but restore paths could in principle; mirror sb_invalidate_range's
-  // live-plan handling for safety.
+  // old selector into its fused dot bodies: unbinding every copy frees
+  // them. CSR ops never compile into a block, so this cannot fire from
+  // inside a burst executing the plan — but restore paths could in
+  // principle; mirror sb_invalidate_range's live-plan handling for safety.
   bool changed = false;
-  for (auto it = sb_plans_.begin(); it != sb_plans_.end();) {
-    SuperblockPlan& p = **it;
-    if (p.uses_mixed) {
+  for (auto it = sb_bound_.begin(); it != sb_bound_.end();) {
+    SuperblockPlan* p = it->second;
+    if (p->uses_mixed) {
       sb_stats_.invalidations += 1;
       sb_stats_.mpc_evictions += 1;
       changed = true;
-      if (&p == sb_active_) {
-        sb_active_dirty_ = true;
-        p.dead = true;
-        ++it;
-      } else {
-        it = sb_plans_.erase(it);
-      }
+      if (p == sb_active_) sb_active_dirty_ = true;
+      it = sb_bound_.erase(it);
+      sb_release(p);
     } else {
       ++it;
     }
@@ -337,6 +352,7 @@ void Core::sb_evict_mixed_plans() {
 }
 
 void Core::sb_clear() {
+  sb_bound_.clear();
   sb_plans_.clear();
   sb_rejects_.clear();
   sb_heat_.fill({});
@@ -347,7 +363,7 @@ void Core::sb_clear() {
   sb_lo_ = sb_hi_ = 0;
 }
 
-SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
+SuperblockPlan* Core::sb_bind(addr_t start, addr_t branch_pc) {
   // Block bounds from the trigger: a hardware loop whose start register
   // equals `start` gives exact bounds; otherwise the heat counter recorded
   // the backward branch that targets `start`.
@@ -373,134 +389,183 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
 
   if (end < start || end - start > 4 * kSbMaxOps) return reject();
 
-  auto plan = std::make_unique<SuperblockPlan>();
-  plan->start = start;
-  plan->is_hwloop = is_hwloop;
-
-  u8 prev_load_rd = 0;  // op[0]'s entry hazard is dynamic, not static
+  // Content address of the body at `start`: its encodings, plus the entry
+  // pc or the mpc selector when the compiled plan would bake either in.
+  SbKey key;
+  key.is_hwloop = is_hwloop;
+  bool mixed = false;
   try {
     for (addr_t pc = start; pc < end;) {
-      // Copy: fetch_decode returns a reference into the decode cache,
-      // which later fetches may reallocate.
-      const Instr in = fetch_decode(pc);
+      const Instr& in = fetch_decode(pc);
       if (pc + in.size > end) return reject();  // straddles the boundary
-      if (in.flags & feature_guard_) return reject();  // would trap
-      if (plan->ops.size() >= kSbMaxOps) return reject();
-
-      SbOp o{};
-      o.rd = in.rd;
-      o.rs1 = in.rs1;
-      o.rs2 = in.rs2;
-      o.flags = in.flags;
-      o.fmt = in.fmt;
-      o.cls = in.cls;
-      o.op = in.op;
-      o.imm = in.imm;
-      using C = isa::ExecClass;
-      switch (in.cls) {
-        case C::kLui:
-          o.kind = SbKind::kConst;
-          break;
-        case C::kAuipc:
-          o.kind = SbKind::kConst;
-          o.imm = static_cast<i32>(pc + static_cast<u32>(in.imm));
-          break;
-        case C::kAluImm:
-          o.kind = in.op == Mnemonic::kAddi ? SbKind::kAddImm : SbKind::kAluImm;
-          break;
-        case C::kAluReg:
-          o.kind = SbKind::kAluReg;
-          break;
-        case C::kMem:
-          o.kind = SbKind::kMem;
-          o.aux = in.mem_size;
-          break;
-        case C::kSimdDotp:
-          o.kind = SbKind::kDotp;
-          if (in.flags & iflag::kDotMixed) {
-            // Virtual SIMD: the operand formats live in the precision-
-            // status CSR. Bake the current selector into the plan (imm is
-            // unused by dot ops); any later mpc write evicts the plan. The
-            // reserved selector would trap, so it never compiles.
-            if (mpc_ >= isa::kMpcSelCount) return reject();
-            o.aux = static_cast<u8>(mixed_region(mpc_));
-            o.imm = static_cast<i32>(mpc_);
-            plan->uses_mixed = true;
-            plan->baked_mpc = static_cast<u8>(mpc_);
-          } else {
-            o.aux = static_cast<u8>(region_for(in.fmt));
-          }
-          break;
-        case C::kPulpScalar:
-          if (in.op == Mnemonic::kPMac || in.op == Mnemonic::kPMsu) {
-            o.kind = SbKind::kMac;
-            o.aux = in.op == Mnemonic::kPMsu;
-          } else if (in.op == Mnemonic::kPInsert ||
-                     in.op == Mnemonic::kPBclr || in.op == Mnemonic::kPBset) {
-            // Illegal bit-field shapes trap with the faulting pc. Width
-            // legality is a static property of the immediates, so verify
-            // it here and keep compiled blocks IllegalInstruction-free
-            // instead of repairing a stale pc at run time.
-            const unsigned width = static_cast<unsigned>(in.imm2) + 1;
-            const unsigned pos = static_cast<unsigned>(in.imm);
-            if (pos + width > 32) return reject();
-            o.kind = SbKind::kHandler;
-          } else {
-            o.kind = SbKind::kHandler;
-          }
-          break;
-        case C::kMulDiv:
-        case C::kSimdAlu:
-        case C::kSimdElem:
-        case C::kSimdQnt:
-          o.kind = SbKind::kHandler;
-          break;
-        default:
-          // Control flow, hwloop setup, CSR (reads live cycle counters),
-          // fence/ecall/ebreak, illegal: never fused.
-          return reject();
-      }
-
-      if (prev_load_rd != 0 && reads_reg(o, prev_load_rd)) {
-        o.hazard = static_cast<u8>(timing_.load_use_penalty);
-      }
-      prev_load_rd = load_dest(o);
-
-      plan->op_pc.push_back(pc);
-      plan->ops.push_back(o);
-      plan->instrs.push_back(in);
+      if (key.raw.size() >= kSbMaxOps) return reject();
+      key.raw.push_back(in.raw);
+      if (in.cls == isa::ExecClass::kAuipc) key.pc = start;
+      if (in.flags & iflag::kDotMixed) mixed = true;
       pc += in.size;
     }
-
-    if (!is_hwloop) {
-      const Instr in = fetch_decode(branch_pc);
-      if (!is_conditional_branch(in.op)) return reject();
-      if (in.flags & feature_guard_) return reject();
-      if (branch_pc + static_cast<u32>(in.imm) != start) return reject();
-      SbOp b{};
-      b.kind = SbKind::kBranch;
-      b.op = in.op;
-      b.rs1 = in.rs1;
-      b.rs2 = in.rs2;
-      b.flags = in.flags;
-      if (in.op == Mnemonic::kPBeqimm || in.op == Mnemonic::kPBneimm) {
-        b.imm = static_cast<i32>(sign_extend(in.imm2, 5));
-      }
-      if (prev_load_rd != 0 && reads_reg(b, prev_load_rd)) {
-        b.hazard = static_cast<u8>(timing_.load_use_penalty);
-      }
-      plan->branch = b;
-      plan->end = branch_pc + in.size;
-      plan->op_pc.push_back(branch_pc);
-    } else {
-      if (plan->ops.empty()) return reject();
-      plan->end = end;
-      plan->op_pc.push_back(end);
-    }
+    if (!is_hwloop) key.raw.push_back(fetch_decode(branch_pc).raw);
   } catch (...) {
     // Decode walked off mapped memory; the interpreter will fault at the
     // precise instruction if execution ever reaches it.
     return reject();
+  }
+  if (mixed) key.mpc = static_cast<u8>(mpc_);
+
+  const u64 hash = key.hash();
+  SuperblockPlan* plan = nullptr;
+  for (auto [it, last] = sb_plans_.equal_range(hash); it != last; ++it) {
+    if (it->second->key == key) {
+      plan = it->second.get();
+      sb_stats_.plan_reuses += 1;
+      break;
+    }
+  }
+  if (plan == nullptr) {
+    std::unique_ptr<SuperblockPlan> fresh = sb_compile(start, branch_pc, end);
+    if (fresh == nullptr) return reject();
+    fresh->key = std::move(key);
+    plan = sb_plans_.emplace(hash, std::move(fresh))->second.get();
+  }
+
+  plan->refs += 1;
+  sb_bound_.emplace(start, plan);
+  if (sb_bound_.size() == 1) {
+    sb_lo_ = start;
+    sb_hi_ = start + plan->len;
+  } else {
+    sb_lo_ = std::min(sb_lo_, start);
+    sb_hi_ = std::max(sb_hi_, start + plan->len);
+  }
+  return plan;
+}
+
+std::unique_ptr<SuperblockPlan> Core::sb_compile(addr_t start,
+                                                 addr_t branch_pc,
+                                                 addr_t end) {
+  // sb_bind already bounded the walk; every nullptr below is a static
+  // ineligibility it records as a reject.
+  const bool is_hwloop = branch_pc == 0;
+  auto plan = std::make_unique<SuperblockPlan>();
+  plan->is_hwloop = is_hwloop;
+
+  u8 prev_load_rd = 0;  // op[0]'s entry hazard is dynamic, not static
+  for (addr_t pc = start; pc < end;) {
+    // Copy: fetch_decode returns a reference into the decode cache,
+    // which later fetches may reallocate. The walk cannot fault: sb_bind
+    // decoded every instruction of the block already.
+    const Instr in = fetch_decode(pc);
+    if (in.flags & feature_guard_) return nullptr;  // would trap
+
+    SbOp o{};
+    o.rd = in.rd;
+    o.rs1 = in.rs1;
+    o.rs2 = in.rs2;
+    o.flags = in.flags;
+    o.fmt = in.fmt;
+    o.cls = in.cls;
+    o.op = in.op;
+    o.imm = in.imm;
+    using C = isa::ExecClass;
+    switch (in.cls) {
+      case C::kLui:
+        o.kind = SbKind::kConst;
+        break;
+      case C::kAuipc:
+        o.kind = SbKind::kConst;
+        o.imm = static_cast<i32>(pc + static_cast<u32>(in.imm));
+        break;
+      case C::kAluImm:
+        o.kind = in.op == Mnemonic::kAddi ? SbKind::kAddImm : SbKind::kAluImm;
+        break;
+      case C::kAluReg:
+        o.kind = SbKind::kAluReg;
+        break;
+      case C::kMem:
+        o.kind = SbKind::kMem;
+        o.aux = in.mem_size;
+        break;
+      case C::kSimdDotp:
+        o.kind = SbKind::kDotp;
+        if (in.flags & iflag::kDotMixed) {
+          // Virtual SIMD: the operand formats live in the precision-
+          // status CSR. Bake the current selector into the plan (imm is
+          // unused by dot ops); any later mpc write evicts the plan. The
+          // reserved selector would trap, so it never compiles.
+          if (mpc_ >= isa::kMpcSelCount) return nullptr;
+          o.aux = static_cast<u8>(mixed_region(mpc_));
+          o.imm = static_cast<i32>(mpc_);
+          plan->uses_mixed = true;
+          plan->baked_mpc = static_cast<u8>(mpc_);
+        } else {
+          o.aux = static_cast<u8>(region_for(in.fmt));
+        }
+        break;
+      case C::kPulpScalar:
+        if (in.op == Mnemonic::kPMac || in.op == Mnemonic::kPMsu) {
+          o.kind = SbKind::kMac;
+          o.aux = in.op == Mnemonic::kPMsu;
+        } else if (in.op == Mnemonic::kPInsert ||
+                   in.op == Mnemonic::kPBclr || in.op == Mnemonic::kPBset) {
+          // Illegal bit-field shapes trap with the faulting pc. Width
+          // legality is a static property of the immediates, so verify
+          // it here and keep compiled blocks IllegalInstruction-free
+          // instead of repairing a stale pc at run time.
+          const unsigned width = static_cast<unsigned>(in.imm2) + 1;
+          const unsigned pos = static_cast<unsigned>(in.imm);
+          if (pos + width > 32) return nullptr;
+          o.kind = SbKind::kHandler;
+        } else {
+          o.kind = SbKind::kHandler;
+        }
+        break;
+      case C::kMulDiv:
+      case C::kSimdAlu:
+      case C::kSimdElem:
+      case C::kSimdQnt:
+        o.kind = SbKind::kHandler;
+        break;
+      default:
+        // Control flow, hwloop setup, CSR (reads live cycle counters),
+        // fence/ecall/ebreak, illegal: never fused.
+        return nullptr;
+    }
+
+    if (prev_load_rd != 0 && reads_reg(o, prev_load_rd)) {
+      o.hazard = static_cast<u8>(timing_.load_use_penalty);
+    }
+    prev_load_rd = load_dest(o);
+
+    plan->op_off.push_back(pc - start);
+    plan->ops.push_back(o);
+    plan->instrs.push_back(in);
+    pc += in.size;
+  }
+
+  if (!is_hwloop) {
+    const Instr in = fetch_decode(branch_pc);
+    if (!is_conditional_branch(in.op)) return nullptr;
+    if (in.flags & feature_guard_) return nullptr;
+    if (branch_pc + static_cast<u32>(in.imm) != start) return nullptr;
+    SbOp b{};
+    b.kind = SbKind::kBranch;
+    b.op = in.op;
+    b.rs1 = in.rs1;
+    b.rs2 = in.rs2;
+    b.flags = in.flags;
+    if (in.op == Mnemonic::kPBeqimm || in.op == Mnemonic::kPBneimm) {
+      b.imm = static_cast<i32>(sign_extend(in.imm2, 5));
+    }
+    if (prev_load_rd != 0 && reads_reg(b, prev_load_rd)) {
+      b.hazard = static_cast<u8>(timing_.load_use_penalty);
+    }
+    plan->branch = b;
+    plan->len = branch_pc + in.size - start;
+    plan->op_off.push_back(branch_pc - start);
+  } else {
+    if (plan->ops.empty()) return nullptr;
+    plan->len = end - start;
+    plan->op_off.push_back(end - start);
   }
 
   // Single-region dot-product blocks let the fused loop keep that region's
@@ -586,10 +651,7 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
   }
 
   sb_stats_.blocks_compiled += 1;
-  sb_plans_.push_back(std::move(plan));
-  SuperblockPlan* out = sb_plans_.back().get();
-  sb_recompute_extent();
-  return out;
+  return plan;
 }
 
 u64 Core::superblock_enter(addr_t start, addr_t branch_pc, u64 budget) {
@@ -597,53 +659,50 @@ u64 Core::superblock_enter(addr_t start, addr_t branch_pc, u64 budget) {
   // power-model effect the batched loop can't reproduce), and reference
   // dispatch / tracing want the plain interpreters.
   if (!cfg_.superblock || !cfg_.clock_gating) return 0;
-  SuperblockPlan* plan = sb_find(start);
-  if (plan == nullptr) {
+  SuperblockPlan* plan = nullptr;
+  if (const auto b = sb_bound_.find(start); b != sb_bound_.end()) {
+    plan = b->second;
+  } else {
     for (const auto& r : sb_rejects_) {
       if (r.first == start) return 0;
     }
-    plan = sb_compile(start, branch_pc);
+    plan = sb_bind(start, branch_pc);
     if (plan == nullptr) return 0;
   }
   if (attr_) {
     // A burst charges all of its cost to one region: bank up to this
     // boundary (start == pc_), then refuse plans that leave the region run.
     attr_check();
-    if (plan->end - attr_lo_ > attr_len_) {
+    if (start + plan->len - attr_lo_ > attr_len_) {
       sb_stats_.region_rejects += 1;
       return 0;
     }
   }
-  return sb_execute(*plan, budget);
+  return sb_execute(*plan, start, budget);
 }
 
 void Core::sb_exit(SuperblockPlan& plan) {
   sb_active_ = nullptr;
-  if (plan.dead) {
-    for (auto it = sb_plans_.begin(); it != sb_plans_.end(); ++it) {
-      if (it->get() == &plan) {
-        sb_plans_.erase(it);
-        break;
-      }
-    }
-    sb_recompute_extent();
-  }
   sb_active_dirty_ = false;
+  // Every binding went while the burst ran (self-modifying store or mpc
+  // eviction): the deferred free. `plan` dangles past this point.
+  if (plan.refs == 0) sb_free(&plan);
 }
 
-u64 Core::sb_execute(SuperblockPlan& plan, u64 budget) {
+u64 Core::sb_execute(SuperblockPlan& plan, addr_t entry, u64 budget) {
   // Sampled bursts pay per-iteration (and, near the deadline, per-op)
   // boundary checks; unsampled bursts compile to the pre-xtel loop. A
   // cluster burst horizon (burst_due_, set by run_burst) rides the same
   // deadline mechanism — whichever comes first is the effective due.
   const cycles_t due = std::min(sample_due_, burst_due_);
-  return due != kNoSampleDue ? sb_execute_impl<true>(plan, budget)
-                             : sb_execute_impl<false>(plan, budget);
+  return due != kNoSampleDue ? sb_execute_impl<true>(plan, entry, budget)
+                             : sb_execute_impl<false>(plan, entry, budget);
 }
 
 template <bool Sampled>
-u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
+u64 Core::sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget) {
   const size_t n = plan.ops.size();
+  const addr_t end = entry + plan.len;
   const u64 per_iter = n + (plan.is_hwloop ? 0 : 1);
 
   // Mixed-format plans bake the precision-status selector into their dot
@@ -655,15 +714,14 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
     return 0;
   }
 
-  // Entry guards: the cached plan is keyed by its start address; verify
-  // the *current* machine state still matches the structure it was
-  // compiled for, else fall back to the interpreter for this visit.
+  // Entry guards: the plan is bound at `entry`; verify the *current*
+  // machine state still matches the structure it was compiled for, else
+  // fall back to the interpreter for this visit.
   int l = -1;
   if (plan.is_hwloop) {
-    if (hwl_start_[0] == plan.start && hwl_end_[0] == plan.end &&
-        hwl_count_[0] > 0) {
+    if (hwl_start_[0] == entry && hwl_end_[0] == end && hwl_count_[0] > 0) {
       l = 0;
-    } else if (hwl_start_[1] == plan.start && hwl_end_[1] == plan.end &&
+    } else if (hwl_start_[1] == entry && hwl_end_[1] == end &&
                hwl_count_[1] > 0) {
       l = 1;
     } else {
@@ -676,7 +734,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
     const unsigned o = 1 - static_cast<unsigned>(l);
     if (hwl_count_[o] != 0) {
       const addr_t oe = hwl_end_[o];
-      if ((oe > plan.start && oe < plan.end) || (oe == plan.end && l != 0)) {
+      if ((oe > entry && oe < end) || (oe == end && l != 0)) {
         sb_stats_.entry_rejects += 1;
         return 0;
       }
@@ -698,6 +756,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
 
   sb_stats_.entries += 1;
   sb_active_ = &plan;
+  sb_active_entry_ = entry;
   sb_active_dirty_ = false;
 
   // op[0]'s load-use hazard against the live entry context (first
@@ -815,7 +874,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
       // attached mid-burst (possible only via a handler side effect —
       // cheap to check, so check it anyway).
       if (done != 0 && (sb_active_dirty_ || trace_)) [[unlikely]] {
-        pc_ = plan.start;
+        pc_ = entry;
         last_load_rd_ = plan.is_hwloop ? plan.exit_last_load_rd : 0;
         break;
       }
@@ -824,7 +883,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
         // backedge crossed the deadline. Identical repair to the dirty
         // bail above — the run loop fires the sample at this boundary.
         if (done != 0 && perf_.cycles + done * c_iter >= due) [[unlikely]] {
-          pc_ = plan.start;
+          pc_ = entry;
           last_load_rd_ = plan.is_hwloop ? plan.exit_last_load_rd : 0;
           (burst_bound ? sb_stats_.burst_flushes : sb_stats_.sample_flushes) +=
               1;
@@ -857,7 +916,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
           if (!((base & 3u) == 0 &&
                 static_cast<u64>(base) + 4 <= msize)) [[unlikely]] {
             if (latch) {
-              hook_pc_ = plan.op_pc[i];
+              hook_pc_ = entry + plan.op_off[i];
               hook_start_ = perf_.cycles + done * c_iter +
                             plan.perf_prefix[i].cycles - (i == 0 ? hz : 0);
               hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
@@ -872,7 +931,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
                                plan.perf_prefix[i].cycles -
                                (i == 0 ? hz : 0);
             burst_sink_->push_back(
-                {s, plan.op_pc[i], base,
+                {s, entry + plan.op_off[i], base,
                  static_cast<u16>(i == 0 ? hz : o.hazard), 4, 0});
           }
           const u32 v = mem_.load_unchecked(base, 4);
@@ -972,7 +1031,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
             if (!(mem_slim && (addr & (o.aux - 1u)) == 0 &&
                   static_cast<u64>(addr) + o.aux <= msize)) [[unlikely]] {
               if (latch) {
-                hook_pc_ = plan.op_pc[i];
+                hook_pc_ = entry + plan.op_off[i];
                 hook_start_ = perf_.cycles + done * c_iter +
                               plan.perf_prefix[i].cycles - (i == 0 ? hz : 0);
                 hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
@@ -991,7 +1050,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
                                  plan.perf_prefix[i].cycles -
                                  (i == 0 ? hz : 0);
               burst_sink_->push_back(
-                  {s, plan.op_pc[i], addr,
+                  {s, entry + plan.op_off[i], addr,
                    static_cast<u16>(i == 0 ? hz : o.hazard),
                    static_cast<u8>(o.aux), static_cast<u8>(store)});
             }
@@ -1063,7 +1122,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
             // fetches); its accesses all issue at the instruction's start
             // plus its hazard, before any latency is charged.
             if (latch) [[unlikely]] {
-              hook_pc_ = plan.op_pc[i];
+              hook_pc_ = entry + plan.op_off[i];
               hook_start_ = perf_.cycles + done * c_iter +
                             plan.perf_prefix[i].cycles - (i == 0 ? hz : 0);
               hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
@@ -1103,7 +1162,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
         // tracking from the op before it.
         add_counters(perf_, plan.perf_prefix[completed]);
         mem_.add_counts(plan.mem_prefix[completed]);
-        pc_ = plan.op_pc[completed];
+        pc_ = entry + plan.op_off[completed];
         last_load_rd_ = load_dest(ops[completed - 1]);
         retired += completed;
         if (sample_break) {
@@ -1120,7 +1179,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
         done += 1;
         if (done == iters) {
           exhausted = done == count_entry;
-          pc_ = exhausted ? plan.end : plan.start;
+          pc_ = exhausted ? end : entry;
           last_load_rd_ = plan.exit_last_load_rd;
           break;
         }
@@ -1133,7 +1192,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
           // decode / after the sample fires).
           add_counters(perf_, plan.perf_prefix[n]);
           mem_.add_counts(plan.mem_prefix[n]);
-          pc_ = plan.op_pc[n];
+          pc_ = entry + plan.op_off[n];
           if (n != 0) last_load_rd_ = load_dest(ops[n - 1]);
           retired += n;
           if (sb_active_dirty_) {
@@ -1168,11 +1227,11 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
         last_load_rd_ = 0;  // the branch is always the last instruction
         if (!taken) {
           fell_through = true;
-          pc_ = plan.end;
+          pc_ = end;
           break;
         }
         if (done == iters) {
-          pc_ = plan.start;
+          pc_ = entry;
           break;
         }
       }
@@ -1202,7 +1261,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
     } else if (done > 0) {
       last_load_rd_ = plan.is_hwloop ? plan.exit_last_load_rd : 0;
     }  // else: entry value, untouched by the burst, is already correct
-    pc_ = plan.op_pc[i];
+    pc_ = entry + plan.op_off[i];
     sb_stats_.trap_bails += 1;
     sb_stats_.fused_iterations += done;
     sb_stats_.fused_instructions += retired + i;

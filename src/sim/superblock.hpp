@@ -11,6 +11,11 @@
 // latency, dot-product activity, self-modifying-store invalidation) stay
 // eager so every exit lands on a bit-exact instruction boundary.
 //
+// Plans are content-addressed: a plan stores every pc-dependent field as
+// an offset from its entry, so one plan serves every copy of a body (the
+// conv generator unrolls one loop body per output block). The core binds
+// entry pcs to shared plans; see DESIGN.md §12 for the invalidation rules.
+//
 // Detection, compilation, execution and invalidation live in
 // superblock.cpp as Core member functions; this header only defines the
 // plan layout so core.hpp can hold the cache by forward declaration.
@@ -73,23 +78,43 @@ struct SbOp {
   i32 imm = 0;
 };
 
+/// Content address of a plan: the only inputs a compiled plan depends on
+/// besides the core's timing model (fixed per core) and feature guard
+/// (changing it clears the whole table, see Core::set_isa_features).
+struct SbKey {
+  /// Raw encodings of the body, then of the terminal branch (branch plans).
+  std::vector<u32> raw;
+  /// Entry pc when the body holds an auipc (its value is pc-relative and
+  /// baked at compile time), else 0.
+  addr_t pc = 0;
+  /// Baked mpc selector when the body holds a mixed dot, else 0.
+  u8 mpc = 0;
+  bool is_hwloop = true;
+
+  bool operator==(const SbKey&) const = default;
+  u64 hash() const;
+};
+
 /// A compiled superblock: one hot straight-line region plus everything the
 /// fused loop needs to retire whole iterations without touching the
-/// decoder or the handler table. Host-side state only — never serialized;
-/// checkpoints restore into an empty cache and recompile lazily.
+/// decoder or the handler table. Position-free: code addresses are offsets
+/// from the entry pc the burst runs at. Host-side state only — never
+/// serialized; checkpoints restore into an empty cache and recompile
+/// lazily.
 struct SuperblockPlan {
-  addr_t start = 0;  // first instruction of the block
-  addr_t end = 0;    // one past the last code byte (= bail-out boundary)
+  SbKey key;
+  /// Entry pcs bound to this plan. At zero the plan is freed — deferred to
+  /// burst exit when the fused loop is executing it (self-modifying store).
+  u32 refs = 0;
+  addr_t len = 0;  // entry to one past the last code byte (bail boundary)
   bool is_hwloop = true;
-  /// Invalidated by a store while the fused loop was executing this plan;
-  /// evicted at burst exit (the storage can't be freed mid-burst).
-  bool dead = false;
 
   std::vector<SbOp> ops;           // straight-line body, no control flow
   std::vector<isa::Instr> instrs;  // parallel cold mirror for kHandler ops
-  /// ops.size()+1 entries: the pc of each op, then the boundary after the
-  /// body (hwloop: the loop end; branch plans: the branch pc).
-  std::vector<addr_t> op_pc;
+  /// ops.size()+1 entries: the entry offset of each op, then of the
+  /// boundary after the body (hwloop: the loop end; branch plans: the
+  /// branch).
+  std::vector<addr_t> op_off;
   SbOp branch{};  // branch plans: the terminal conditional branch
 
   /// prefix[i] = batched static deltas of ops [0, i) — the repair applied

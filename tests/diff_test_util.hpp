@@ -1,7 +1,7 @@
 // Shared helpers for the differential test suites (dispatch diff, snapshot
 // diff): a complete final-machine-state record, an exhaustive equality
-// check over every PerfCounters field, and the random always-terminating
-// program generator.
+// check over every field the power model reads (PerfCounters, DotpActivity,
+// MemStats), and the random always-terminating program generator.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -22,11 +22,15 @@ struct FinalState {
   addr_t pc = 0;
   sim::HaltReason reason = sim::HaltReason::kRunning;
   sim::PerfCounters perf;
+  /// The energy model's other two inputs (power::estimate_energy).
+  sim::DotpActivity dotp;
+  mem::MemStats mem_stats;
   std::vector<u8> mem;
 };
 
 /// Snapshot the observable machine state (registers, pc, halt reason, perf
-/// counters, full memory image) of a core that has finished running.
+/// counters, dot-unit activity, memory statistics, full memory image) of a
+/// core that has finished running.
 inline FinalState final_state_of(const sim::Core& core,
                                  const mem::Memory& mem) {
   FinalState s;
@@ -34,14 +38,20 @@ inline FinalState final_state_of(const sim::Core& core,
   s.pc = core.pc();
   for (unsigned i = 0; i < 32; ++i) s.regs[i] = core.reg(i);
   s.perf = core.perf();
+  s.dotp = core.dotp_unit().activity();
+  s.mem_stats = mem.stats();
   s.mem.resize(mem.size());
   mem.read_block(0, s.mem);
   return s;
 }
 
+/// The reference interpreter (`reference`) or the plain fast path: the
+/// superblock engine is pinned off so both interpreters keep their own
+/// named mode in every differential suite.
 inline FinalState run_mode(const xasm::Program& prog, sim::CoreConfig cfg,
                            bool reference, u64 max_instr = 2'000'000) {
   cfg.reference_dispatch = reference;
+  cfg.superblock = false;
   mem::Memory mem;
   prog.load(mem);
   sim::Core core(mem, std::move(cfg));
@@ -50,8 +60,9 @@ inline FinalState run_mode(const xasm::Program& prog, sim::CoreConfig cfg,
   return final_state_of(core, mem);
 }
 
-/// Third dispatch mode: the fast path with the superblock engine forced
-/// on, regardless of the XPULP_SUPERBLOCK environment default.
+/// Third dispatch mode: the fast path with the superblock engine on (the
+/// CoreConfig default, set explicitly so a caller's config cannot turn it
+/// off).
 inline FinalState run_mode_superblock(const xasm::Program& prog,
                                       sim::CoreConfig cfg,
                                       u64 max_instr = 2'000'000) {
@@ -101,6 +112,18 @@ inline void expect_identical(const FinalState& ref, const FinalState& fast) {
   EXPECT_EQ(a.dotp_ops, b.dotp_ops);
   EXPECT_EQ(a.mixed_dotp_ops, b.mixed_dotp_ops);
   EXPECT_EQ(a.lsu_data_toggles, b.lsu_data_toggles);
+
+  EXPECT_EQ(ref.dotp.operand_toggles, fast.dotp.operand_toggles);
+  EXPECT_EQ(ref.dotp.ops, fast.dotp.ops);
+
+  const mem::MemStats& ma = ref.mem_stats;
+  const mem::MemStats& mb = fast.mem_stats;
+  EXPECT_EQ(ma.loads, mb.loads);
+  EXPECT_EQ(ma.stores, mb.stores);
+  EXPECT_EQ(ma.load_bytes, mb.load_bytes);
+  EXPECT_EQ(ma.store_bytes, mb.store_bytes);
+  EXPECT_EQ(ma.misaligned_accesses, mb.misaligned_accesses);
+  EXPECT_EQ(ma.contention_stalls, mb.contention_stalls);
 }
 
 /// One random instruction into the current basic block. Destinations avoid

@@ -115,6 +115,24 @@ TEST(FaultCampaign, MixedKindsClassifyByDetector) {
   }
 }
 
+TEST(FaultCampaign, PlainFastPathDetectsEveryKind) {
+  // The default core fuses hot loops through the superblock engine; the
+  // same mixed-kind campaign with the engine off keeps the plain fast-path
+  // handlers under fault injection too.
+  CampaignConfig cfg = small_config();
+  cfg.seed = 11;
+  cfg.num_faults = 20;
+  cfg.kinds = {FaultKind::kTcdmBitFlip, FaultKind::kRegisterBitFlip,
+               FaultKind::kStallPerturb, FaultKind::kIsaDegrade};
+  cfg.core.superblock = false;
+  const CampaignReport rep = run_campaign(cfg);
+
+  EXPECT_EQ(rep.injected, 20);
+  EXPECT_EQ(rep.undetected, 0);
+  EXPECT_DOUBLE_EQ(rep.detection_rate(), 1.0);
+  EXPECT_GT(rep.reference_instructions, 0u);
+}
+
 TEST(FaultCampaign, IsaDegradeNeedsFallbackPolicy) {
   CampaignConfig cfg = small_config();
   cfg.seed = 5;

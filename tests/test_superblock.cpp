@@ -1,9 +1,11 @@
 // Superblock engine unit tests: coverage statistics, runtime toggling,
-// instruction-limit boundary exactness across fused bursts, and a
+// instruction-limit boundary exactness across fused bursts, a
 // differential sweep over every dot-product mnemonic/format combination —
 // the combinations the fused loop routes through host-SIMD kernels
 // (8-bit, nibble) and the ones that stay on the scalar lane kernel
-// (16-bit, crumb) must all be bit-identical to the reference interpreter.
+// (16-bit, crumb) must all be bit-identical to the reference interpreter —
+// and content-addressed plan sharing across unrolled copies of a body
+// (one compile, per-copy invalidation, mpc eviction, pc-relative bodies).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "diff_test_util.hpp"
+#include "isa/encoding.hpp"
 #include "isa/instruction.hpp"
 #include "mem/memory.hpp"
 #include "sim/core.hpp"
@@ -348,6 +351,238 @@ TEST(Superblock, CsrWriteInsideHotLoopNeverFuses) {
   ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
   EXPECT_EQ(stats.fused_iterations, 0u);
   expect_identical(ref, sb);
+}
+
+// ---- Content-addressed plans: one plan per distinct loop body ----
+
+constexpr u32 kCopyIters = 8;
+
+/// Runs `prog` in all three dispatch modes, checks they agree bit-for-bit,
+/// and returns the superblock run with its engine statistics.
+FinalState run_three_way(const xasm::Program& prog,
+                         sim::SuperblockStats& stats) {
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState sb = run_prog(prog, false, true, &stats);
+  EXPECT_EQ(ref.reason, sim::HaltReason::kEcall);
+  expect_identical(ref, run_prog(prog, false, false));
+  expect_identical(ref, sb);
+  return sb;
+}
+
+/// One unrolled copy of the shared hwloop body (a post-increment load
+/// feeding two ALU ops); every copy assembles to identical encodings.
+/// Returns the address of the copy's addi.
+addr_t emit_body_copy(xasm::Assembler& a) {
+  const xasm::Assembler::Label end = a.new_label();
+  a.lp_setupi(0, kCopyIters, end);
+  a.p_lw_post(r::t0, r::s0, 4);
+  const addr_t addi_at = a.current_addr();
+  a.addi(r::a0, r::a0, 3);
+  a.add(r::a1, r::a1, r::t0);
+  a.bind(end);
+  return addi_at;
+}
+
+u32 addi_word(u8 rd, u8 rs1, i32 imm) {
+  isa::Instr in;
+  in.op = isa::Mnemonic::kAddi;
+  in.rd = rd;
+  in.rs1 = rs1;
+  in.imm = imm;
+  return isa::encode(in);
+}
+
+/// Assembles `build(a, target)` until the address it reports for `target`
+/// is a fixed point, so programs can li the address of their own code (the
+/// li expansion, and with it the layout, depends on the value).
+template <typename Build>
+xasm::Program assemble_self_referencing(Build build) {
+  addr_t target = 0;
+  for (int pass = 0; pass < 4; ++pass) {
+    xasm::Assembler a(0);
+    const addr_t actual = build(a, target);
+    if (actual == target) return a.finish();
+    target = actual;
+  }
+  ADD_FAILURE() << "self-referencing layout did not converge";
+  return xasm::Assembler(0).finish();
+}
+
+TEST(SuperblockPlanSharing, UnrolledCopiesCompileOnePlan) {
+  constexpr u64 kCopies = 6;
+  xasm::Assembler a(0);
+  a.li(r::s0, kData);
+  a.li(r::a0, 0);
+  a.li(r::a1, 0);
+  for (u64 c = 0; c < kCopies; ++c) emit_body_copy(a);
+  a.ecall();
+  const xasm::Program prog = a.finish();
+
+  sim::SuperblockStats stats;
+  run_three_way(prog, stats);
+  // One compile; every other copy binds the same plan and fuses all of
+  // its iterations from the lp.setup boundary on.
+  EXPECT_EQ(stats.blocks_compiled, 1u);
+  EXPECT_EQ(stats.plan_reuses, kCopies - 1);
+  EXPECT_EQ(stats.compile_rejects, 0u);
+  EXPECT_EQ(stats.entries, kCopies);
+  EXPECT_EQ(stats.fused_iterations, kCopies * kCopyIters);
+}
+
+TEST(SuperblockPlanSharing, StoreIntoOneCopyEvictsOnlyItsBinding) {
+  // Two passes over the same N copies; between them a store rewrites the
+  // addi of copy k. Only k's binding goes: the other copies re-enter
+  // through their existing bindings, and k rebinds — to a fresh plan when
+  // the store changed its body, to the shared one when it rewrote
+  // identical bytes.
+  constexpr u64 kCopies = 5;
+  constexpr u64 kPatched = 2;
+  for (const bool changes_body : {true, false}) {
+    const u32 patch = addi_word(r::a0, r::a0, changes_body ? 9 : 3);
+    const xasm::Program prog = assemble_self_referencing(
+        [&](xasm::Assembler& a, addr_t target) {
+          a.li(r::s0, kData);
+          a.li(r::a0, 0);
+          a.li(r::a1, 0);
+          a.li(r::s5, 2);  // passes
+          a.li(r::t5, static_cast<i32>(patch));
+          a.li(r::t6, static_cast<i32>(target));
+          const xasm::Assembler::Label outer = a.here();
+          const xasm::Assembler::Label done = a.new_label();
+          addr_t addi_k = 0;
+          for (u64 c = 0; c < kCopies; ++c) {
+            const addr_t at = emit_body_copy(a);
+            if (c == kPatched) addi_k = at;
+          }
+          a.addi(r::s5, r::s5, -1);
+          a.beq(r::s5, r::zero, done);
+          a.sw(r::t5, r::t6, 0);
+          a.j(outer);
+          a.bind(done);
+          a.ecall();
+          return addi_k;
+        });
+
+    sim::SuperblockStats stats;
+    const FinalState sb = run_three_way(prog, stats);
+    const u32 second = changes_body ? 9 : 3;
+    EXPECT_EQ(sb.regs[r::a0],
+              kCopyIters * (2 * kCopies * 3 - 3 + second));
+    EXPECT_EQ(stats.invalidations, 1u);
+    EXPECT_EQ(stats.entries, 2 * kCopies);  // every copy fused, both passes
+    EXPECT_EQ(stats.fused_iterations, 2 * kCopies * kCopyIters);
+    EXPECT_EQ(stats.blocks_compiled, changes_body ? 2u : 1u);
+    EXPECT_EQ(stats.plan_reuses, changes_body ? kCopies - 1 : kCopies);
+    if (::testing::Test::HasFailure()) FAIL() << "changes_body " << changes_body;
+  }
+}
+
+TEST(SuperblockPlanSharing, SelfModifyingStoreIntoLiveCopy) {
+  // Every copy's body stores first, then adds. Copy k's store targets its
+  // own addi (the other copies store into scratch memory), so its burst
+  // bails after the store, before the stale addi, the interpreter runs the
+  // patched addi, and the remaining iterations fuse under a plan of the
+  // patched body. The shared
+  // plan must survive for the copies still bound to it — and when k is
+  // the only copy bound so far, it is freed at burst exit and recompiled
+  // for the copies after k.
+  constexpr u64 kCopies = 4;
+  constexpr i32 kStride = 2040;  // later stores land past the code
+  constexpr addr_t kScratch = 0x4000;
+  const u32 patch = addi_word(r::a0, r::a0, 9);
+  for (const u64 k : {u64{0}, u64{2}, kCopies - 1}) {
+    const xasm::Program prog = assemble_self_referencing(
+        [&](xasm::Assembler& a, addr_t target) {
+          a.li(r::a0, 0);
+          a.li(r::t5, static_cast<i32>(patch));
+          addr_t addi_k = 0;
+          for (u64 c = 0; c < kCopies; ++c) {
+            a.li(r::t6, static_cast<i32>(c == k ? target : kScratch));
+            const xasm::Assembler::Label end = a.new_label();
+            a.lp_setupi(0, kCopyIters, end);
+            a.p_sw_post(r::t5, r::t6, kStride);
+            if (c == k) addi_k = a.current_addr();
+            a.addi(r::a0, r::a0, 3);
+            a.bind(end);
+          }
+          a.ecall();
+          return addi_k;
+        });
+
+    sim::SuperblockStats stats;
+    const FinalState sb = run_three_way(prog, stats);
+    // The store precedes the addi, so copy k adds 9 from its first
+    // iteration on.
+    EXPECT_EQ(sb.regs[r::a0], (kCopies - 1) * kCopyIters * 3 + kCopyIters * 9);
+    EXPECT_EQ(stats.smc_bails, 1u);
+    EXPECT_EQ(stats.entries, kCopies + 1);  // copy k re-enters once
+    // k == 0: the shared plan dies with its only binding and copy 1
+    // compiles it again; otherwise every copy but the first reuses it.
+    EXPECT_EQ(stats.blocks_compiled, k == 0 ? 3u : 2u);
+    EXPECT_EQ(stats.plan_reuses, k == 0 ? kCopies - 2 : kCopies - 1);
+    if (::testing::Test::HasFailure()) FAIL() << "live copy " << k;
+  }
+}
+
+TEST(SuperblockPlanSharing, MpcWriteEvictsMixedPlanAtEveryCopy) {
+  // Two passes over N copies of a mixed-dot body, the selector changing
+  // after each: every pass compiles one plan for its selector and binds
+  // it at all N copies, and each mpc write evicts all N bindings.
+  constexpr u64 kCopies = 4;
+  xasm::Assembler a(0);
+  a.csrrwi(r::zero, isa::kMpcCsr, 0);
+  a.li(r::s5, 2);  // passes
+  a.li(r::s6, 0);  // next selector value
+  a.li(r::a0, 0x55);
+  const xasm::Assembler::Label outer = a.here();
+  a.li(r::s0, kData);
+  for (u64 c = 0; c < kCopies; ++c) {
+    const xasm::Assembler::Label end = a.new_label();
+    a.lp_setupi(0, kCopyIters, end);
+    a.p_lw_post(r::t0, r::s0, 4);
+    a.p_lw_post(r::t1, r::s0, 4);
+    a.pv_mlsdotusp(r::a0, r::t0, r::t1);
+    a.bind(end);
+  }
+  a.addi(r::s6, r::s6, 1);
+  a.csrrw(r::zero, isa::kMpcCsr, r::s6);
+  a.addi(r::s5, r::s5, -1);
+  a.bne(r::s5, r::zero, outer);
+  a.ecall();
+  const xasm::Program prog = a.finish();
+
+  sim::SuperblockStats stats;
+  run_three_way(prog, stats);
+  EXPECT_EQ(stats.mpc_evictions, 2 * kCopies);
+  EXPECT_EQ(stats.blocks_compiled, 2u);
+  EXPECT_EQ(stats.plan_reuses, 2 * (kCopies - 1));
+  EXPECT_EQ(stats.entries, 2 * kCopies);
+}
+
+TEST(SuperblockPlanSharing, AuipcBodyKeepsPerCopyValue) {
+  // auipc bakes its pc-relative value at compile time, so identical
+  // encodings at two addresses must not share a plan.
+  xasm::Assembler a(0);
+  a.li(r::a0, 0);
+  addr_t auipc_at[2] = {};
+  for (addr_t& at : auipc_at) {
+    const xasm::Assembler::Label end = a.new_label();
+    a.lp_setupi(0, kCopyIters, end);
+    at = a.current_addr();
+    a.auipc(r::t1, 0x1000);
+    a.add(r::a0, r::a0, r::t1);
+    a.bind(end);
+  }
+  a.ecall();
+  const xasm::Program prog = a.finish();
+
+  sim::SuperblockStats stats;
+  const FinalState sb = run_three_way(prog, stats);
+  EXPECT_EQ(sb.regs[r::a0],
+            kCopyIters * (auipc_at[0] + 0x1000 + auipc_at[1] + 0x1000));
+  EXPECT_EQ(stats.blocks_compiled, 2u);
+  EXPECT_EQ(stats.plan_reuses, 0u);
+  EXPECT_EQ(stats.fused_iterations, 2 * kCopyIters);
 }
 
 }  // namespace

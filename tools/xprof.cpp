@@ -274,6 +274,8 @@ int run_single(const Args& args, const kernels::ConvLayerData& data,
     std::printf("\nsuperblock engine (untraced pass, regions attributed):\n");
     std::printf("  %-22s %12llu\n", "blocks compiled",
                 static_cast<unsigned long long>(sb.blocks_compiled));
+    std::printf("  %-22s %12llu\n", "plans reused",
+                static_cast<unsigned long long>(sb.plan_reuses));
     std::printf("  %-22s %12llu  (region rejects %llu)\n", "compile rejects",
                 static_cast<unsigned long long>(sb.compile_rejects),
                 static_cast<unsigned long long>(sb.region_rejects));
