@@ -16,10 +16,10 @@
 // nonzero when the 8-core burst speedup falls below X.
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 
 #include "bench_util.hpp"
 #include "cluster/parallel_conv.hpp"
+#include "tool_cli.hpp"
 
 using namespace xpulp;
 using namespace xpulp::bench;
@@ -126,17 +126,27 @@ SchedResults measure_schedulers(const ClusterWorkload& w,
   return out;
 }
 
+void usage() {
+  std::fprintf(stderr, "usage: bench_cluster_scaling [--min-speedup X]\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // --min-speedup X: exit nonzero when the 8-core burst-over-reference
-  // host speedup of any paper workload falls below X (the CI gate).
+  // host speedup of any paper workload falls below X (the CI gate). A
+  // malformed or unknown argument is a usage error (exit 2), so a bad
+  // floor can never pass as a gate of 0.
   double required_speedup = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--min-speedup") && i + 1 < argc) {
-      required_speedup = std::atof(argv[++i]);
+  tools::OptionReader r("bench_cluster_scaling", usage, argc, argv);
+  while (r.next()) {
+    if (r.opt() == "--min-speedup") {
+      r.positive(required_speedup);
+    } else {
+      r.reject();
     }
   }
+  if (!r.finish()) return 2;
 
   print_header("Cluster scaling -- XpulpNN cores on a shared banked TCDM");
   obs::Registry reg;

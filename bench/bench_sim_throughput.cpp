@@ -21,6 +21,7 @@
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "sim/core.hpp"
+#include "tool_cli.hpp"
 
 using namespace xpulp;
 using namespace xpulp::bench;
@@ -126,38 +127,51 @@ ModeResults measure_modes(const Workload& w, double round_seconds = 0.25,
 }
 
 /// Observer cost guard: one detached and one attached configuration of the
-/// same core, measured in alternating rounds, each keeping its best round
-/// (the noise discipline of measure_modes). The attached observer must
-/// leave the simulated cost bit-identical: every PerfCounters field of the
-/// last repetition of each configuration is compared.
+/// same core, measured as round pairs — a detached and an attached round
+/// back to back, the order alternating from pair to pair. The gate is the
+/// median over the pairs of each pair's attached/detached MIPS ratio: host
+/// noise that slows a whole pair cancels in its ratio, drift cancels over
+/// the alternating order, and the median discards the pairs a burst of
+/// noise split. A real observer cost slows every attached round, so it
+/// moves every pair's ratio and the median with it. The attached observer
+/// must also leave the simulated cost bit-identical: every PerfCounters
+/// field of the last repetition of each configuration is compared.
 struct GuardResult {
+  /// Best round of each configuration (reported, not gated).
   Measurement detached, attached;
+  std::vector<double> pair_ratios;
   bool perf_identical = false;
   /// Superblock coverage of the last repetition (Core::reset clears it).
   sim::SuperblockStats detached_sb, attached_sb;
   double ratio() const {
-    return detached.mips() > 0 ? attached.mips() / detached.mips() : 0;
+    if (pair_ratios.empty()) return 0;
+    std::vector<double> r = pair_ratios;
+    const auto mid = r.begin() + static_cast<std::ptrdiff_t>(r.size() / 2);
+    std::nth_element(r.begin(), mid, r.end());
+    return *mid;
   }
 };
 
 /// `attach(core)` attaches the observer and returns the function that
-/// detaches it again.
+/// detaches it again. `pairs` is odd so the median is one pair's ratio.
 template <typename Attach>
 GuardResult measure_guard(const Workload& w, bool superblock, Attach attach,
-                          double round_seconds = 0.25, int rounds = 3) {
+                          double round_seconds = 0.2, int pairs = 9) {
   GuardResult out;
   mem::Memory mem;
   sim::Core core(mem, w.cfg);
   core.set_superblock(superblock);
 
   sim::PerfCounters detached_perf, attached_perf;
-  for (int r = 0; r < rounds; ++r) {
-    for (int mode = 0; mode < 2; ++mode) {
+  for (int p = 0; p < pairs; ++p) {
+    Measurement pair[2];  // [0] detached, [1] attached
+    for (int k = 0; k < 2; ++k) {
+      const int mode = (p + k) % 2;
       std::function<void()> detach;
       if (mode == 1) detach = attach(core);
       Measurement warm;
       one_rep(w, core, mem, warm);
-      Measurement round;
+      Measurement& round = pair[mode];
       while (round.host_seconds < round_seconds) one_rep(w, core, mem, round);
       (mode == 0 ? detached_perf : attached_perf) = core.perf();
       (mode == 0 ? out.detached_sb : out.attached_sb) =
@@ -166,6 +180,9 @@ GuardResult measure_guard(const Workload& w, bool superblock, Attach attach,
       if (round.mips() > best.mips()) best = round;
       if (detach) detach();
     }
+    out.pair_ratios.push_back(pair[0].mips() > 0
+                                  ? pair[1].mips() / pair[0].mips()
+                                  : 0);
   }
   out.perf_identical = detached_perf == attached_perf;
   return out;
@@ -184,18 +201,19 @@ GuardResult measure_sampler_guard(const Workload& w) {
 
 /// Region-attribution cost guard: the core's in-loop region attribution
 /// with the kernel's phase regions attached, the way run_conv_layer runs
-/// every layer with quantization code. Five rounds: this guard covers four
-/// configurations, so it gets more rounds to discard host noise.
+/// every layer with quantization code.
 GuardResult measure_attribution_guard(const Workload& w, bool superblock) {
-  return measure_guard(
-      w, superblock,
-      [&w](sim::Core& core) {
-        core.set_region_attribution(w.kernel.regions.build_index(),
-                                    w.kernel.regions.size());
-        return std::function<void()>(
-            [&core] { core.clear_region_attribution(); });
-      },
-      /*round_seconds=*/0.25, /*rounds=*/5);
+  return measure_guard(w, superblock, [&w](sim::Core& core) {
+    core.set_region_attribution(w.kernel.regions.build_index(),
+                                w.kernel.regions.size());
+    return std::function<void()>([&core] { core.clear_region_attribution(); });
+  });
+}
+
+void usage() {
+  std::fprintf(stderr,
+               "usage: bench_sim_throughput [--min-speedup X] "
+               "[--guard-sampler [R]] [--guard-attribution [R]]\n");
 }
 
 }  // namespace
@@ -210,30 +228,28 @@ int main(int argc, char** argv) {
   // on every workload, on the fast path and with superblocks on; with
   // superblocks on, a fused-instruction gap against the detached run must
   // be explained by refused bursts (SuperblockStats::region_rejects).
+  // A malformed or unknown argument is a usage error (exit 2), so a bad
+  // floor can never pass as a gate of 0.
   double required_speedup = 0;
   bool guard_sampler = false;
   double guard_ratio = 0.98;
   bool guard_attribution = false;
   double attribution_ratio = 0.98;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--min-speedup" && i + 1 < argc) {
-      required_speedup = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--guard-sampler" || arg == "--guard-attribution") {
-      const bool sampler = arg == "--guard-sampler";
-      (sampler ? guard_sampler : guard_attribution) = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        (sampler ? guard_ratio : attribution_ratio) =
-            std::strtod(argv[++i], nullptr);
-      }
+  tools::OptionReader r("bench_sim_throughput", usage, argc, argv);
+  while (r.next()) {
+    if (r.opt() == "--min-speedup") {
+      r.positive(required_speedup);
+    } else if (r.opt() == "--guard-sampler") {
+      guard_sampler = true;
+      if (r.has_value()) r.rate(guard_ratio);
+    } else if (r.opt() == "--guard-attribution") {
+      guard_attribution = true;
+      if (r.has_value()) r.rate(attribution_ratio);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--min-speedup X] [--guard-sampler [R]] "
-                   "[--guard-attribution [R]]\n",
-                   argv[0]);
-      return 2;
+      r.reject();
     }
   }
+  if (!r.finish()) return 2;
 
   std::printf("interpreter host throughput -- paper conv layer\n");
   std::printf("%-28s %10s %10s %10s %10s %7s %7s %7s\n", "workload", "minstr",
@@ -296,7 +312,7 @@ int main(int argc, char** argv) {
     // Guard on the extended-core workload (the hot configuration).
     const GuardResult g = measure_sampler_guard(workloads.back());
     std::printf("idle-sampler guard: detached %.2f MIPS, idle %.2f MIPS "
-                "(%.1f%% retained, counters %s)\n",
+                "(median pair %.1f%% retained, counters %s)\n",
                 g.detached.mips(), g.attached.mips(), 100 * g.ratio(),
                 g.perf_identical ? "identical" : "DIVERGED");
     reg.gauge("guard.sampler.detached_mips", g.detached.mips());
@@ -328,8 +344,8 @@ int main(int argc, char** argv) {
         const u64 fused_attached = g.attached_sb.fused_instructions;
         const u64 rejects = g.attached_sb.region_rejects;
         std::printf("  %-32s detached %8.2f MIPS, attached %8.2f MIPS "
-                    "(%.1f%% retained, counters %s); fused %llu vs %llu, "
-                    "region rejects %llu\n",
+                    "(median pair %.1f%% retained, counters %s); fused "
+                    "%llu vs %llu, region rejects %llu\n",
                     name.c_str(), g.detached.mips(), g.attached.mips(),
                     100 * g.ratio(),
                     g.perf_identical ? "identical" : "DIVERGED",

@@ -1,5 +1,6 @@
 #include "ckpt/fault.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "common/rng.hpp"
@@ -139,29 +140,38 @@ void inject(const FaultSpec& fs, sim::Core& core, mem::Memory& mem) {
   }
 }
 
-/// Step the core to completion (or the watchdog budget), checkpointing
+/// Run the core to completion (or the watchdog budget), checkpointing
 /// every `ckpt_every` instructions while still before the injection point.
-/// `fault` == nullptr runs plain (retry attempts). Returns the detector
-/// that fired during execution, or kNone if the run ended in a clean
-/// ecall.
+/// `fault` == nullptr runs plain (retry attempts). Between those events the
+/// core runs at full dispatch speed through run_steps(), superblock bursts
+/// included; run_steps() pauses at exact instruction indices, so the
+/// injection, every checkpoint and the watchdog see the same state as a
+/// per-instruction walk would. Returns the detector that fired during
+/// execution, or kNone if the run ended in a clean ecall.
 Detector execute(sim::Core& core, mem::Memory& mem, u64 budget,
                  const FaultSpec* fault, u64 ckpt_every,
                  Snapshot* pre_fault_ckpt) {
   try {
     while (!core.halted()) {
       const u64 n = core.perf().instructions;
+      u64 next = budget;  // the next instruction index with an event
       if (fault != nullptr) {
         if (n == fault->at_instruction) {
           inject(*fault, core, mem);
           fault = nullptr;  // single-shot
-        } else if (ckpt_every != 0 && n % ckpt_every == 0 &&
-                   pre_fault_ckpt != nullptr) {
-          // Only pre-injection states are valid recovery points.
-          *pre_fault_ckpt = capture(core, mem);
+        } else {
+          if (ckpt_every != 0 && pre_fault_ckpt != nullptr) {
+            // Only pre-injection states are valid recovery points.
+            if (n % ckpt_every == 0) *pre_fault_ckpt = capture(core, mem);
+            next = std::min(next, (n / ckpt_every + 1) * ckpt_every);
+          }
+          if (fault->at_instruction > n) {
+            next = std::min(next, fault->at_instruction);
+          }
         }
       }
       if (n >= budget) return Detector::kWatchdog;
-      core.step();
+      core.run_steps(next - n);
     }
   } catch (const SimError&) {
     // Guest trap: memory fault, illegal instruction, …

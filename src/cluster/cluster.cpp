@@ -25,7 +25,6 @@ constexpr cycles_t kBurstOvershoot = 256;
 // core across its deadline.
 constexpr u64 kRefChunk = 512;
 constexpr u64 kInfKey = ~0ull;
-constexpr cycles_t kNoClock = ~0ull;
 
 double host_now() {
   return std::chrono::duration<double>(
@@ -231,81 +230,28 @@ void Cluster::fold_lane(int core) {
   }
 }
 
-void Cluster::pop_entry(int core) {
-  BurstLane& lane = lanes_[static_cast<size_t>(core)];
-  const LaneEntry& e = lane.log[lane.head];
-  if (e.start != lane.cur_start) {
-    // New instruction: latch its stall offset. The reference charges hook
-    // stalls at the issuing instruction's end, so accesses of one
-    // instruction share a cycle base; stalls assigned below shift only
-    // later instructions.
-    lane.cur_start = e.start;
-    lane.cur_offset = lane.pending_stalls();
-  }
-  const cycles_t cycle = e.start + e.cycle_delta + lane.cur_offset;
-  const unsigned stalls = arbiter_.access(core, cycle, e.addr);
-  if (observer_) {
-    observer_(core, cycle, e.pc, e.addr, e.size, e.is_store != 0, stalls);
-  }
-  lane.assigned += stalls;
-  lane.head += 1;
-  --lanes_pending_;
-  burst_stats_.replayed_accesses += 1;
-  burst_stats_.deferred_stall_cycles += stalls;
-  if (lane.drained()) fold_lane(core);
-}
-
-void Cluster::pop_ready() {
-  // Replay every logged access whose merge key lexicographically precedes
-  // the frontier — the smallest (true clock, core) over live cores, i.e.
-  // the earliest point at which a *new* access could still be issued. The
-  // frontier is recomputed every iteration: stalls assigned by a pop raise
-  // that lane's remaining keys and its true clock in lockstep, so a stale
-  // frontier could strand entries that are in fact ready.
-  while (lanes_pending_ != 0) {
-    u64 frontier = kInfKey;
-    for (size_t i = 0; i < cores_.size(); ++i) {
-      if (cores_[i]->halted()) continue;
-      frontier = std::min(
-          frontier, MinClockHeap::key(true_clock(static_cast<int>(i)),
-                                      static_cast<int>(i)));
-    }
-    u64 best = kInfKey;
-    int best_core = -1;
-    for (size_t i = 0; i < lanes_.size(); ++i) {
-      const BurstLane& lane = lanes_[i];
-      if (lane.head == lane.log.size()) continue;
-      const LaneEntry& e = lane.log[lane.head];
-      const u64 off = e.start == lane.cur_start ? lane.cur_offset
-                                                : lane.pending_stalls();
-      const u64 k = MinClockHeap::key(e.start + off, static_cast<int>(i));
-      if (k < best) {
-        best = k;
-        best_core = static_cast<int>(i);
-      }
-    }
-    if (best >= frontier) return;
-    pop_entry(best_core);
-  }
-}
-
-void Cluster::merge_epoch() {
-  // Epoch-granularity replay, the hot merge path of drive_burst. Unlike
-  // pop_ready() the frontier is computed ONCE: stalls assigned while
-  // popping only ever RAISE true clocks, so a frontier that goes stale is
-  // conservatively low — the merge under-pops and the leftover entries
-  // simply roll into the next epoch (or the closing reference segment,
-  // which uses the exact dynamic pop_ready). Per-lane head keys are
-  // cached and only the popped lane's key is recomputed, making a pop
-  // O(num_cores) over a contiguous u64 array instead of two full
-  // true-clock/log scans.
-  u64 frontier = kInfKey;
+u64 Cluster::frontier() const {
+  u64 f = kInfKey;
   for (size_t i = 0; i < cores_.size(); ++i) {
     if (cores_[i]->halted()) continue;
-    frontier = std::min(
-        frontier, MinClockHeap::key(true_clock(static_cast<int>(i)),
-                                    static_cast<int>(i)));
+    f = std::min(f, MinClockHeap::key(true_clock(static_cast<int>(i)),
+                                      static_cast<int>(i)));
   }
+  return f;
+}
+
+u64 Cluster::merge_epoch() {
+  // Replay, in global key order, every logged access whose merge key
+  // lexicographically precedes the frontier. The frontier is computed
+  // ONCE: stalls assigned while popping only ever RAISE true clocks, so a
+  // frontier that goes stale is conservatively low — the merge under-pops
+  // and the leftover entries roll into the next call. Repeating the call
+  // until it pops nothing therefore replays exactly the sequence a
+  // frontier recomputed after every pop would (reference_segment does
+  // that). Per-lane head keys are cached and only the popped lane's key is
+  // recomputed, making a pop O(num_cores) over a contiguous u64 array.
+  if (lanes_pending_ == 0) return 0;
+  const u64 front = frontier();
   u64 keys[64];
   const size_t n = lanes_.size();
   const auto head_key = [&](size_t i) -> u64 {
@@ -317,10 +263,9 @@ void Cluster::merge_epoch() {
     return MinClockHeap::key(e.start + off, static_cast<int>(i));
   };
   for (size_t i = 0; i < n; ++i) keys[i] = head_key(i);
-  // Inlined pop loop (pop_entry's body, minus the per-pop stat stores,
-  // which accumulate in locals): this runs once per logged access of the
-  // entire simulation, and a function call plus four counter stores per
-  // pop are measurable against the ~15ns budget.
+  // The pop loop runs once per logged access of the entire simulation, so
+  // the per-pop stats accumulate in locals: a function call plus four
+  // counter stores per pop are measurable against the ~15ns budget.
   const bool observe = static_cast<bool>(observer_);
   u64 popped = 0;
   u64 stall_sum = 0;
@@ -333,10 +278,14 @@ void Cluster::merge_epoch() {
         bi = i;
       }
     }
-    if (best >= frontier) break;
+    if (best >= front) break;
     BurstLane& lane = lanes_[bi];
     const LaneEntry& e = lane.log[lane.head];
     if (e.start != lane.cur_start) {
+      // New instruction: latch its stall offset. The reference charges
+      // hook stalls at the issuing instruction's end, so accesses of one
+      // instruction share a cycle base; stalls assigned below shift only
+      // later instructions.
       lane.cur_start = e.start;
       lane.cur_offset = lane.pending_stalls();
     }
@@ -361,6 +310,7 @@ void Cluster::merge_epoch() {
   lanes_pending_ -= popped;
   burst_stats_.replayed_accesses += popped;
   burst_stats_.deferred_stall_cycles += stall_sum;
+  return popped;
 }
 
 u64 Cluster::reference_segment(u64 max_steps, u64 budget) {
@@ -371,22 +321,17 @@ u64 Cluster::reference_segment(u64 max_steps, u64 budget) {
   // hook — the global arbiter call sequence stays in lexicographic order
   // throughout. Used for sample deadlines, the band-closing tail of a
   // burst run, and the final drain (all cores halted makes the frontier
-  // infinite, so pop_ready flushes every lane).
+  // infinite, so the merge flushes every lane).
   u64 executed = 0;
   const u64 limit = std::min(max_steps, budget);
   while (executed < limit) {
-    pop_ready();
-    u64 frontier = kInfKey;
-    for (size_t i = 0; i < cores_.size(); ++i) {
-      if (cores_[i]->halted()) continue;
-      frontier = std::min(
-          frontier, MinClockHeap::key(true_clock(static_cast<int>(i)),
-                                      static_cast<int>(i)));
+    while (merge_epoch() != 0) {
     }
-    if (frontier == kInfKey) break;  // all halted (lanes flushed)
-    const int id = MinClockHeap::core_of(frontier);
+    const u64 front = frontier();
+    if (front == kInfKey) break;  // all halted (lanes flushed)
+    const int id = MinClockHeap::core_of(front);
     // All of this core's logged accesses order strictly before its next
-    // instruction, so pop_ready drained its lane; folding makes
+    // instruction, so the merge drained its lane; folding makes
     // perf.cycles the true clock before the step issues real accesses.
     fold_lane(id);
     active_core_ = cores_[static_cast<size_t>(id)].get();
@@ -424,13 +369,9 @@ u64 Cluster::drive_burst(u64 target) {
   };
   try {
   while (executed + slack < target) {
-    cycles_t min_true = kNoClock;
-    for (size_t i = 0; i < n_cores; ++i) {
-      if (cores_[i]->halted()) continue;
-      min_true = std::min(min_true, true_clock(static_cast<int>(i)));
-    }
-    if (min_true == kNoClock) break;  // all halted
-    cycles_t horizon = min_true + delta;
+    const u64 front = frontier();
+    if (front == kInfKey) break;  // all halted
+    cycles_t horizon = MinClockHeap::clock_of(front) + delta;
     // Sample boundaries must be crossed on reference steps with every
     // lane advanced in exact global key order: a Sample diffs the
     // *shared* TCDM stats, so if any other core had already burst past

@@ -390,10 +390,13 @@ class Cluster {
   u64 drive_reference(u64 target);
   u64 drive_burst(u64 target);
   u64 reference_segment(u64 max_steps, u64 budget);
-  void pop_ready();
-  void merge_epoch();
-  void pop_entry(int core);
+  /// Replay the logged accesses ordered before the frontier through the
+  /// arbiter; returns how many it popped.
+  u64 merge_epoch();
   void fold_lane(int core);
+  /// Smallest (true clock, core) key over live cores — the earliest point
+  /// at which a new access could still issue; ~0 once every core halted.
+  u64 frontier() const;
   bool burst_eligible() const;
   cycles_t true_clock(int core) const;
 

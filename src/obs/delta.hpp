@@ -120,6 +120,7 @@ inline sim::SuperblockStats diff(const sim::SuperblockStats& a,
   d.smc_bails = a.smc_bails - b.smc_bails;
   d.trap_bails = a.trap_bails - b.trap_bails;
   d.invalidations = a.invalidations - b.invalidations;
+  d.mpc_evictions = a.mpc_evictions - b.mpc_evictions;
   d.sample_flushes = a.sample_flushes - b.sample_flushes;
   d.burst_flushes = a.burst_flushes - b.burst_flushes;
   d.region_rejects = a.region_rejects - b.region_rejects;

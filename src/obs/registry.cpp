@@ -258,6 +258,7 @@ void add_superblock_stats(Registry& r, std::string_view prefix,
   r.counter(pre + "burst_flushes", s.burst_flushes);
   r.counter(pre + "region_rejects", s.region_rejects);
   r.counter(pre + "invalidations", s.invalidations);
+  r.counter(pre + "mpc_evictions", s.mpc_evictions);
   if (total_instructions != 0) {
     r.gauge(pre + "fused_fraction",
             static_cast<double>(s.fused_instructions) /

@@ -254,6 +254,7 @@ void Core::set_sampler(SampleFn fn, cycles_t interval_cycles) {
     sample_interval_ = 0;
     sample_due_ = kNoSampleDue;
   }
+  deadline_ = std::min(sample_due_, burst_due_);
 }
 
 void Core::set_region_attribution(std::vector<int> parcel_regions,
@@ -334,6 +335,7 @@ void Core::sample_fire() {
   // that crosses several intervals yields one sample (the interpreter and
   // the burst repair path agree on this by construction).
   sample_due_ = (perf_.cycles / sample_interval_ + 1) * sample_interval_;
+  deadline_ = std::min(sample_due_, burst_due_);
   sampler_();
 }
 
@@ -470,40 +472,77 @@ void Core::hwloop_backedge(addr_t after) {
 }
 
 HaltReason Core::run(u64 max_instructions) {
-  if (ref_dispatch_) {
-    return attr_ ? run_reference<true>(max_instructions)
-                 : run_reference<false>(max_instructions);
-  }
-  if (sampler_ || attr_) {
-    return trace_ ? run_fast<true, true>(max_instructions)
-                  : run_fast<false, true>(max_instructions);
-  }
-  return trace_ ? run_fast<true, false>(max_instructions)
-                : run_fast<false, false>(max_instructions);
-}
-
-template <bool Attributed>
-HaltReason Core::run_reference(u64 max_instructions) {
-  // Legacy loop shape: dynamic trace check inside step_reference and the
-  // limit read back from the perf counters every iteration. The sampling
-  // deadline compare is unreachable without a sampler (kNoSampleDue).
-  const u64 limit = perf_.instructions + max_instructions;
-  while (!halted()) {
-    if constexpr (Attributed) attr_check();
-    step_reference();
-    if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
-    if (perf_.instructions >= limit) {
-      halt_ = HaltReason::kInstrLimit;
-      break;
-    }
-  }
+  // A run retires at least one instruction, and retiring the whole budget
+  // reports kInstrLimit even when its last instruction halted the core.
+  const u64 budget = std::max<u64>(max_instructions, 1);
+  if (run_loop(budget) >= budget) halt_ = HaltReason::kInstrLimit;
   return halt_;
 }
 
-template <bool Traced, bool Observed>
-HaltReason Core::run_fast(u64 max_instructions) {
+u64 Core::run_steps(u64 n) { return run_loop(n); }
+
+u64 Core::run_burst(cycles_t horizon, u64 max_instructions) {
+  // The horizon joins the loops' deadline, so the interpreter and fused
+  // superblock bursts (armed single-step plus the prefix repair tables —
+  // see sb_execute_impl) stop at the same boundary. The reset must survive
+  // guest faults: a dangling horizon would silently truncate every later
+  // run.
+  if (perf_.cycles >= horizon) return 0;
+  set_burst_due(horizon);
   u64 executed = 0;
-  while (!halted()) {
+  try {
+    executed = run_loop(max_instructions);
+  } catch (...) {
+    set_burst_due(kNoSampleDue);
+    throw;
+  }
+  set_burst_due(kNoSampleDue);
+  return executed;
+}
+
+void Core::set_burst_due(cycles_t due) {
+  burst_due_ = due;
+  deadline_ = std::min(sample_due_, burst_due_);
+}
+
+bool Core::deadline_hit() {
+  if (perf_.cycles >= sample_due_) sample_fire();
+  return perf_.cycles >= burst_due_;
+}
+
+u64 Core::run_loop(u64 budget) {
+  if (ref_dispatch_) {
+    return attr_ ? run_reference<true>(budget) : run_reference<false>(budget);
+  }
+  if (deadline_ != kNoSampleDue || attr_) {
+    return trace_ ? run_fast<true, true>(budget)
+                  : run_fast<false, true>(budget);
+  }
+  return trace_ ? run_fast<true, false>(budget)
+                : run_fast<false, false>(budget);
+}
+
+template <bool Attributed>
+u64 Core::run_reference(u64 budget) {
+  // Legacy loop shape: dynamic trace check inside step_reference. The
+  // deadline compare is unreachable with neither a sampler nor a burst
+  // horizon (kNoSampleDue).
+  u64 executed = 0;
+  while (executed < budget && !halted()) {
+    if constexpr (Attributed) attr_check();
+    step_reference();
+    ++executed;
+    if (perf_.cycles >= deadline_) [[unlikely]] {
+      if (deadline_hit()) break;
+    }
+  }
+  return executed;
+}
+
+template <bool Traced, bool Observed>
+u64 Core::run_fast(u64 budget) {
+  u64 executed = 0;
+  while (executed < budget && !halted()) {
     // Instruction-start boundary, before the step charges any stall: a
     // region switch banks everything up to here into the old region.
     if constexpr (Observed) attr_check();
@@ -511,14 +550,16 @@ HaltReason Core::run_fast(u64 max_instructions) {
     ++executed;
     if constexpr (Observed) {
       // At an exact instruction boundary, before any fused burst starts —
-      // so a burst always enters with cycles < sample_due_.
-      if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
+      // so a burst always enters with cycles < deadline_.
+      if (perf_.cycles >= deadline_) [[unlikely]] {
+        if (deadline_hit()) break;
+      }
     }
     if constexpr (!Traced) {
       // Superblock entry: the step above announced a hot block starting at
       // the next pc (hwloop setup/backedge, hot backward branch). A burst
       // retires whole iterations and never overshoots the remaining
-      // budget, so the kInstrLimit semantics below stay exact. Candidates
+      // budget, so the caller's budget semantics stay exact. Candidates
       // are only ever set when cfg_.superblock is on, so the common path
       // pays one compare. Traced runs never fuse: the per-instruction
       // hook is the reason to interpret.
@@ -527,94 +568,27 @@ HaltReason Core::run_fast(u64 max_instructions) {
         const addr_t cand_branch = sb_candidate_branch_;
         sb_candidate_ = kNoSbCandidate;
         sb_candidate_branch_ = 0;
-        if (executed < max_instructions && cand == pc_ && !halted()) {
-          executed +=
-              superblock_enter(cand, cand_branch, max_instructions - executed);
+        if (executed < budget && cand == pc_ && !halted()) {
+          executed += superblock_enter(cand, cand_branch, budget - executed);
           if constexpr (Observed) {
             // The burst may have repaired to a boundary that crossed the
-            // deadline (sample_flushes); fire there, not an instruction
-            // later.
-            if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
+            // deadline (sample_flushes/burst_flushes); act there, not an
+            // instruction later.
+            if (perf_.cycles >= deadline_) [[unlikely]] {
+              if (deadline_hit()) break;
+            }
           }
         }
       }
     }
-    if (executed >= max_instructions) {
-      halt_ = HaltReason::kInstrLimit;
-      break;
-    }
     if constexpr (Traced) {
       // The hook detached itself (returned false): finish the run on the
       // trace-free loop so the rest of the instructions pay no overhead.
-      if (!trace_) return run_fast<false, Observed>(max_instructions - executed);
-    }
-  }
-  return halt_;
-}
-
-u64 Core::run_steps(u64 n) {
-  u64 executed = 0;
-  while (executed < n && !halted()) {
-    step();
-    ++executed;
-    if (sb_candidate_ != kNoSbCandidate) {
-      const addr_t cand = sb_candidate_;
-      const addr_t cand_branch = sb_candidate_branch_;
-      sb_candidate_ = kNoSbCandidate;
-      sb_candidate_branch_ = 0;
-      if (!ref_dispatch_ && !trace_ && executed < n && cand == pc_ &&
-          !halted()) {
-        executed += superblock_enter(cand, cand_branch, n - executed);
-        // step() fires samples itself; a burst that repaired to a crossed
-        // deadline needs the same boundary-exact fire here.
-        if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
+      if (!trace_) {
+        return executed + run_fast<false, Observed>(budget - executed);
       }
     }
   }
-  return executed;
-}
-
-u64 Core::run_burst(cycles_t horizon, u64 max_instructions) {
-  // Bounded burst for the cluster scheduler: full-speed dispatch until the
-  // first instruction boundary at or past `horizon`. The horizon is
-  // published through burst_due_ so fused superblock bursts stop at the
-  // same boundary a per-instruction run would (armed single-step plus the
-  // prefix repair tables — see sb_execute_impl). The burst_due_ reset must
-  // survive guest faults: a dangling horizon would silently truncate every
-  // later superblock burst.
-  u64 executed = 0;
-  burst_due_ = horizon;
-  try {
-    while (perf_.cycles < horizon && executed < max_instructions &&
-           !halted()) {
-      attr_check();
-      if (ref_dispatch_) {
-        step_reference();
-      } else if (trace_) [[unlikely]] {
-        step_fast<true>();
-      } else {
-        step_fast<false>();
-      }
-      ++executed;
-      if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
-      if (sb_candidate_ != kNoSbCandidate) [[unlikely]] {
-        const addr_t cand = sb_candidate_;
-        const addr_t cand_branch = sb_candidate_branch_;
-        sb_candidate_ = kNoSbCandidate;
-        sb_candidate_branch_ = 0;
-        if (!ref_dispatch_ && !trace_ && executed < max_instructions &&
-            cand == pc_ && !halted() && perf_.cycles < horizon) {
-          executed +=
-              superblock_enter(cand, cand_branch, max_instructions - executed);
-          if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
-        }
-      }
-    }
-  } catch (...) {
-    burst_due_ = kNoSampleDue;
-    throw;
-  }
-  burst_due_ = kNoSampleDue;
   return executed;
 }
 

@@ -161,6 +161,8 @@ struct SuperblockStats {
   /// banks all of its cost into one region, so a multi-region plan runs
   /// interpreted instead. Zero whenever no table is attached.
   u64 region_rejects = 0;
+
+  bool operator==(const SuperblockStats&) const = default;
 };
 
 /// Cost attributed to one code region by the core's in-loop region
@@ -251,21 +253,25 @@ class Core {
   HaltReason run(u64 max_instructions = 400'000'000);
 
   /// Execute up to `n` instructions (stopping early on halt) and return
-  /// how many retired. Unlike run(), reaching `n` does not set the
-  /// kInstrLimit halt reason — the core pauses at an exact instruction
-  /// boundary, which is what checkpoint tooling needs to position
-  /// snapshots at precise indices while the superblock engine is active
+  /// how many retired. Runs the same loops as run() — fast path plus
+  /// superblock bursts, or the reference loop — but reaching `n` does not
+  /// set the kInstrLimit halt reason: the core pauses at an exact
+  /// instruction boundary, which is what checkpoint and fault-injection
+  /// tooling needs to position snapshots and faults at precise indices
   /// (a fused burst never overshoots the remaining budget).
   u64 run_steps(u64 n);
 
   /// Execute until the first instruction boundary whose cycle count is at
   /// or past `horizon` (the final instruction may overshoot by its own
   /// latency), the core halts, or `max_instructions` retired; returns how
-  /// many retired. Runs at full dispatch speed — fast path plus superblock
-  /// bursts, which honor the horizon through the same due-threshold
-  /// mechanism as the sampler (SuperblockStats::burst_flushes) — so the
-  /// cluster burst scheduler can drain a core to a cycle horizon without
-  /// dropping to per-instruction stepping. Never sets kInstrLimit.
+  /// many retired (0 when the cycle count is already at or past the
+  /// horizon). The same loops as run(), with the horizon folded into the
+  /// deadline they already compare for the sampler; fused superblock
+  /// bursts honor it through the same repair mechanism
+  /// (SuperblockStats::burst_flushes), so the cluster burst scheduler can
+  /// drain a core to a cycle horizon at full dispatch speed. Never sets
+  /// kInstrLimit; the horizon is cleared on every exit, guest faults
+  /// included.
   u64 run_burst(cycles_t horizon, u64 max_instructions);
 
   const PerfCounters& perf() const { return perf_; }
@@ -439,19 +445,32 @@ class Core {
   /// runs pay zero trace overhead.
   template <bool Traced>
   bool step_fast();
-  /// `Observed` compiles the sampling-deadline compare and the region
-  /// attribution compare into the loop (each unreachable while its
-  /// observer is detached); the unobserved instantiation is byte-identical
-  /// to the loop without either observer.
+  /// The two multi-instruction loops behind run(), run_steps() and
+  /// run_burst(). Each retires at most `budget` instructions and returns
+  /// how many retired, stopping early on halt or at the first instruction
+  /// boundary at or past burst_due_. `Observed` compiles the deadline
+  /// compare and the region attribution compare into the fast loop (each
+  /// unreachable while its observer is detached); the unobserved
+  /// instantiation is byte-identical to the loop without either observer.
   template <bool Traced, bool Observed>
-  HaltReason run_fast(u64 max_instructions);
-  /// Reference-dispatch run loop; `Attributed` adds the region compare.
+  u64 run_fast(u64 budget);
+  /// Reference-dispatch loop over step_reference(), kept separate from
+  /// run_fast as the oracle the differential suites diff it against;
+  /// `Attributed` adds the region compare.
   template <bool Attributed>
-  HaltReason run_reference(u64 max_instructions);
+  u64 run_reference(u64 budget);
+  /// Pick the loop instantiation for the attached observers and run it.
+  u64 run_loop(u64 budget);
 
   /// Advance the sampling deadline past the current cycle count, then
   /// invoke the hook. Out of line: the run loops only pay the compare.
   void sample_fire();
+  /// Out-of-line half of the loops' one deadline compare (cycles >=
+  /// deadline_): fire the sample if it is due, and return true when the
+  /// burst horizon is reached and the loop must stop.
+  bool deadline_hit();
+  /// Set the burst horizon and refresh deadline_.
+  void set_burst_due(cycles_t due);
 
   /// Region attribution check at an instruction boundary: one compare of
   /// the pc against the current region run; only leaving the run calls
@@ -607,10 +626,13 @@ class Core {
   cycles_t sample_interval_ = 0;
   cycles_t sample_due_ = kNoSampleDue;
 
-  /// Cluster burst horizon, set only while run_burst() is live. Fused
-  /// superblock bursts treat min(sample_due_, burst_due_) as the effective
-  /// deadline, so both repair to exact boundaries through one mechanism.
+  /// Cluster burst horizon, set only while run_burst() is live.
   cycles_t burst_due_ = kNoSampleDue;
+  /// min(sample_due_, burst_due_): the one deadline the observed loops and
+  /// fused superblock bursts compare, so samples and burst horizons repair
+  /// to exact boundaries through one mechanism. A burst only enters with
+  /// the cycle count below it.
+  cycles_t deadline_ = kNoSampleDue;
 
   /// Region attribution state (core.cpp). attr_lo_/attr_len_ cache the
   /// current run [lo, lo + len) of the attached table for attr_check();

@@ -693,10 +693,10 @@ u64 Core::sb_execute(SuperblockPlan& plan, addr_t entry, u64 budget) {
   // Sampled bursts pay per-iteration (and, near the deadline, per-op)
   // boundary checks; unsampled bursts compile to the pre-xtel loop. A
   // cluster burst horizon (burst_due_, set by run_burst) rides the same
-  // deadline mechanism — whichever comes first is the effective due.
-  const cycles_t due = std::min(sample_due_, burst_due_);
-  return due != kNoSampleDue ? sb_execute_impl<true>(plan, entry, budget)
-                             : sb_execute_impl<false>(plan, entry, budget);
+  // deadline — whichever comes first is deadline_.
+  return deadline_ != kNoSampleDue
+             ? sb_execute_impl<true>(plan, entry, budget)
+             : sb_execute_impl<false>(plan, entry, budget);
 }
 
 template <bool Sampled>
@@ -809,8 +809,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget) {
   // cannot reach the deadline ("unarmed") runs at full fused speed; with
   // an access hook or contention injector the dynamic bound does not hold
   // and every iteration is armed.
-  const cycles_t due =
-      Sampled ? std::min(sample_due_, burst_due_) : kNoSampleDue;
+  const cycles_t due = Sampled ? deadline_ : kNoSampleDue;
   // Attribution of deadline flushes: a strictly-earlier burst horizon is
   // the binding deadline (burst_flushes); otherwise the sampler is.
   const bool burst_bound = Sampled && burst_due_ < sample_due_;

@@ -133,6 +133,31 @@ TEST(FaultCampaign, PlainFastPathDetectsEveryKind) {
   EXPECT_GT(rep.reference_instructions, 0u);
 }
 
+TEST(FaultCampaign, FingerprintIdenticalWithAndWithoutSuperblocks) {
+  // Trials run through the core's run loops, so with the engine on (the
+  // default) the injection, the checkpoints and every detector meet fused
+  // execution. Fusion must be invisible to all of them: the same seed
+  // classifies every fault of every kind identically with it off.
+  CampaignConfig cfg = small_config();
+  cfg.seed = 11;
+  cfg.num_faults = 40;
+  cfg.kinds = {FaultKind::kTcdmBitFlip, FaultKind::kRegisterBitFlip,
+               FaultKind::kStallPerturb, FaultKind::kIsaDegrade};
+  cfg.core.superblock = true;
+  const CampaignReport fused = run_campaign(cfg);
+  cfg.core.superblock = false;
+  const CampaignReport plain = run_campaign(cfg);
+
+  EXPECT_EQ(fused.fingerprint(), plain.fingerprint());
+  ASSERT_EQ(fused.records.size(), plain.records.size());
+  for (size_t i = 0; i < fused.records.size(); ++i) {
+    EXPECT_EQ(fused.records[i].outcome, plain.records[i].outcome) << i;
+    EXPECT_EQ(fused.records[i].detector, plain.records[i].detector) << i;
+    EXPECT_EQ(fused.records[i].retries_used, plain.records[i].retries_used)
+        << i;
+  }
+}
+
 TEST(FaultCampaign, IsaDegradeNeedsFallbackPolicy) {
   CampaignConfig cfg = small_config();
   cfg.seed = 5;

@@ -3,12 +3,19 @@
 // guarantee (attributed cycles partition the core's cycle counter).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "kernels/conv_layer.hpp"
+#include "obs/delta.hpp"
 #include "obs/profiler.hpp"
 #include "obs/region.hpp"
 #include "obs/registry.hpp"
@@ -82,6 +89,37 @@ TEST(Registry, JsonNestsAlongDots) {
   EXPECT_NE(json.find("\"rate\": 0.5"), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"conv\""), std::string::npos);
   EXPECT_NE(json.find("\"ok\": true"), std::string::npos);
+}
+
+TEST(Registry, SuperblockStatsPublishAndDiffEveryField) {
+  // Every SuperblockStats field is a u64 counter: fill them with distinct
+  // nonzero values through the raw layout, so a field added later is
+  // covered without touching this test.
+  static_assert(std::is_trivially_copyable_v<sim::SuperblockStats>);
+  static_assert(sizeof(sim::SuperblockStats) % sizeof(u64) == 0);
+  constexpr size_t kFields = sizeof(sim::SuperblockStats) / sizeof(u64);
+  std::array<u64, kFields> values{};
+  for (size_t i = 0; i < kFields; ++i) values[i] = 100 + i;
+  sim::SuperblockStats s;
+  std::memcpy(static_cast<void*>(&s), values.data(), sizeof s);
+
+  // A window diff against zero is the value itself: diff() skips no field.
+  EXPECT_EQ(diff(s, sim::SuperblockStats{}), s);
+
+  // One counter per field, carrying every field's value exactly once (no
+  // fused_fraction gauge without an instruction total).
+  Registry reg;
+  add_superblock_stats(reg, "sb", s, /*total_instructions=*/0);
+  EXPECT_EQ(reg.size(), kFields);
+  std::istringstream csv(reg.csv());
+  std::string row;
+  std::getline(csv, row);  // header
+  std::vector<u64> published;
+  while (std::getline(csv, row)) {
+    published.push_back(std::stoull(row.substr(row.find(',') + 1)));
+  }
+  std::sort(published.begin(), published.end());
+  EXPECT_EQ(published, std::vector<u64>(values.begin(), values.end()));
 }
 
 TEST(Registry, OverwriteAndContains) {

@@ -1,5 +1,6 @@
 // Superblock engine unit tests: coverage statistics, runtime toggling,
-// instruction-limit boundary exactness across fused bursts, a
+// instruction-limit boundary exactness across fused bursts, where run(),
+// run_steps() and run_burst() stop in each dispatch mode, a
 // differential sweep over every dot-product mnemonic/format combination —
 // the combinations the fused loop routes through host-SIMD kernels
 // (8-bit, nibble) and the ones that stay on the scalar lane kernel
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "diff_test_util.hpp"
 #include "isa/encoding.hpp"
@@ -126,6 +128,211 @@ TEST(Superblock, InstructionLimitSweepIsBoundaryExact) {
       EXPECT_EQ(sb.perf.instructions, std::min(limit, total));
     }
     if (::testing::Test::HasFailure()) FAIL() << "limit " << limit;
+  }
+}
+
+// ------------------------------------------- stop semantics of the entry points
+// run(), run_steps() and run_burst() share the run loops; these cases pin
+// where each one stops, three-way diffed across the reference interpreter,
+// the plain fast path and the superblock engine.
+
+enum class Dispatch { kReference, kFast, kSuperblock };
+constexpr Dispatch kDispatchModes[] = {Dispatch::kReference, Dispatch::kFast,
+                                       Dispatch::kSuperblock};
+
+/// Load `prog` and kData's operand bytes, run `drive(core)` on a fresh core
+/// in dispatch mode `d`, and return the end state (and engine stats).
+template <typename Drive>
+FinalState drive_prog(const xasm::Program& prog, Dispatch d, Drive drive,
+                      sim::SuperblockStats* stats_out = nullptr) {
+  sim::CoreConfig cfg = sim::CoreConfig::extended();
+  cfg.reference_dispatch = d == Dispatch::kReference;
+  cfg.superblock = d == Dispatch::kSuperblock;
+  mem::Memory mem;
+  prog.load(mem);
+  std::vector<u8> data(1024);
+  Rng rng(0x0ddba11);
+  for (auto& b : data) b = static_cast<u8>(rng.uniform(0, 255));
+  mem.write_block(kData, data);
+  sim::Core core(mem, cfg);
+  core.reset(prog.entry(), prog.base() + prog.size_bytes());
+  drive(core);
+  if (stats_out) *stats_out = core.superblock_stats();
+  return final_state_of(core, mem);
+}
+
+/// Drive all three modes; they must agree bit-for-bit. Returns the
+/// reference end state and the superblock mode's engine stats.
+template <typename Drive>
+FinalState drive_three_way(const xasm::Program& prog, Drive drive,
+                           sim::SuperblockStats* sb_stats = nullptr) {
+  const FinalState ref = drive_prog(prog, Dispatch::kReference, drive);
+  expect_identical(ref, drive_prog(prog, Dispatch::kFast, drive));
+  expect_identical(ref,
+                   drive_prog(prog, Dispatch::kSuperblock, drive, sb_stats));
+  return ref;
+}
+
+TEST(SuperblockStops, RunLimitAroundTheEcall) {
+  const xasm::Program prog = hot_hwloop_program();
+  const FinalState full = run_prog(prog, true, false);
+  ASSERT_EQ(full.reason, sim::HaltReason::kEcall);
+  const u64 ecall_index = full.perf.instructions;  // the ecall retires last
+
+  // Retiring the whole budget reports kInstrLimit — also when the budget's
+  // last instruction is the ecall itself; one more and the ecall wins.
+  const struct {
+    u64 n;
+    sim::HaltReason reason;
+  } cases[] = {{ecall_index - 1, sim::HaltReason::kInstrLimit},
+               {ecall_index, sim::HaltReason::kInstrLimit},
+               {ecall_index + 1, sim::HaltReason::kEcall}};
+  for (const auto& c : cases) {
+    sim::HaltReason returned = sim::HaltReason::kRunning;
+    const FinalState st = drive_three_way(
+        prog, [&](sim::Core& core) { returned = core.run(c.n); });
+    EXPECT_EQ(st.reason, c.reason) << "n " << c.n;
+    EXPECT_EQ(returned, c.reason) << "n " << c.n;
+    EXPECT_EQ(st.perf.instructions, std::min(c.n, ecall_index)) << "n " << c.n;
+  }
+}
+
+TEST(SuperblockStops, RunStepsReturnsNAndNeverSetsInstrLimit) {
+  const xasm::Program prog = hot_hwloop_program();
+  const FinalState full = run_prog(prog, true, false);
+  const u64 total = full.perf.instructions;
+
+  sim::SuperblockStats stats;
+  for (u64 n = 1; n <= total + 1; ++n) {
+    u64 returned = 0;
+    const FinalState st = drive_three_way(
+        prog, [&](sim::Core& core) { returned = core.run_steps(n); },
+        &stats);
+    EXPECT_EQ(returned, std::min(n, total));
+    EXPECT_EQ(st.perf.instructions, std::min(n, total));
+    EXPECT_EQ(st.reason, n < total ? sim::HaltReason::kRunning
+                                   : sim::HaltReason::kEcall);
+    if (::testing::Test::HasFailure()) FAIL() << "n " << n;
+  }
+  EXPECT_GT(stats.fused_instructions, 0u);  // the last n ran fused
+
+  // Chunked run_steps walks to the same end state as one run().
+  const FinalState chunked = drive_three_way(prog, [](sim::Core& core) {
+    while (core.run_steps(7) == 7) {
+    }
+  });
+  expect_identical(full, chunked);
+}
+
+TEST(SuperblockStops, RunBurstStopsAtFirstBoundaryPastTheHorizon) {
+  const xasm::Program prog = hot_hwloop_program();
+  const FinalState full = run_prog(prog, true, false);
+  const cycles_t total_cycles = full.perf.cycles;
+
+  u64 burst_flushes = 0;
+  u64 fused = 0;
+  for (cycles_t h = 0; h <= total_cycles + 1; ++h) {
+    // Expected stop: per-instruction stepping up to the first boundary
+    // whose cycle count is at or past the horizon.
+    const FinalState want =
+        drive_prog(prog, Dispatch::kReference, [h](sim::Core& core) {
+          while (!core.halted() && core.perf().cycles < h) core.step();
+        });
+    u64 returned = 0;
+    sim::SuperblockStats stats;
+    const FinalState got = drive_three_way(
+        prog,
+        [&](sim::Core& core) { returned = core.run_burst(h, 1'000'000); },
+        &stats);
+    expect_identical(want, got);
+    EXPECT_EQ(returned, got.perf.instructions);
+    EXPECT_NE(got.reason, sim::HaltReason::kInstrLimit);
+    burst_flushes += stats.burst_flushes;
+    fused += stats.fused_instructions;
+    if (::testing::Test::HasFailure()) FAIL() << "horizon " << h;
+  }
+  // Some horizons landed inside a fused body, and the burst repaired to
+  // the exact boundary.
+  EXPECT_GT(burst_flushes, 0u);
+  EXPECT_GT(fused, 0u);
+
+  // The instruction budget still binds under a far horizon.
+  const FinalState capped = drive_three_way(prog, [](sim::Core& core) {
+    EXPECT_EQ(core.run_burst(cycles_t{1} << 40, 20), 20u);
+  });
+  EXPECT_EQ(capped.perf.instructions, 20u);
+  EXPECT_EQ(capped.reason, sim::HaltReason::kRunning);
+}
+
+/// A load through the address stored at kData + 0x200 (the test writes
+/// either a valid or an out-of-range one), then the hot hwloop.
+xasm::Program pointer_then_hot_program() {
+  xasm::Assembler a(0);
+  a.li(r::s1, kData + 0x200);
+  a.lw(r::s2, r::s1, 0);
+  a.lw(r::t2, r::s2, 0);  // faults on an out-of-range pointer
+  a.li(r::s0, kData);
+  a.li(r::a0, 0);
+  const xasm::Assembler::Label end = a.new_label();
+  a.lp_setupi(0, 31, end);
+  a.p_lw_post(r::t0, r::s0, 4);
+  a.addi(r::a0, r::a0, 3);
+  a.add(r::a1, r::a0, r::t0);
+  a.bind(end);
+  a.ecall();
+  return a.finish();
+}
+
+TEST(SuperblockStops, GuestFaultInRunBurstLeavesNoHorizonBehind) {
+  const xasm::Program prog = pointer_then_hot_program();
+  const auto set_pointer = [](mem::Memory& mem, u32 ptr) {
+    std::vector<u8> b(4);
+    for (unsigned i = 0; i < 4; ++i) b[i] = static_cast<u8>(ptr >> (8 * i));
+    mem.write_block(kData + 0x200, b);
+  };
+  for (const Dispatch d : kDispatchModes) {
+    sim::CoreConfig cfg = sim::CoreConfig::extended();
+    cfg.reference_dispatch = d == Dispatch::kReference;
+    cfg.superblock = d == Dispatch::kSuperblock;
+
+    // The good program's cycle count, to place a horizon mid-run.
+    mem::Memory good_mem;
+    prog.load(good_mem);
+    set_pointer(good_mem, kData);
+    sim::Core good(good_mem, cfg);
+    good.reset(prog.entry(), prog.base() + prog.size_bytes());
+    ASSERT_EQ(good.run(), sim::HaltReason::kEcall);
+    const cycles_t horizon = good.perf().cycles / 2;
+
+    // Two cores fault on the bad pointer well before that horizon: one
+    // inside run_burst(horizon), the control inside run(). Both then run
+    // the good program again; a horizon left behind by the faulted burst
+    // would stop (or flush) the first core's run at `horizon`.
+    const auto rerun = [&](bool burst, mem::Memory& mem, sim::Core& core) {
+      prog.load(mem);
+      set_pointer(mem, 0xfffffff0u);
+      core.reset(prog.entry(), prog.base() + prog.size_bytes());
+      if (burst) {
+        EXPECT_THROW(core.run_burst(horizon, 1'000'000), SimError);
+      } else {
+        EXPECT_THROW(core.run(), SimError);
+      }
+      set_pointer(mem, kData);
+      core.reset(prog.entry(), prog.base() + prog.size_bytes());
+      core.reset_perf();
+      EXPECT_EQ(core.run(), sim::HaltReason::kEcall);
+    };
+    mem::Memory burst_mem, control_mem;
+    sim::Core burst(burst_mem, cfg), control(control_mem, cfg);
+    rerun(true, burst_mem, burst);
+    rerun(false, control_mem, control);
+    EXPECT_EQ(burst.perf(), control.perf());
+    EXPECT_EQ(burst.superblock_stats(), control.superblock_stats());
+    EXPECT_EQ(burst.superblock_stats(), good.superblock_stats());
+    for (unsigned i = 0; i < 32; ++i) EXPECT_EQ(burst.reg(i), good.reg(i));
+    if (d == Dispatch::kSuperblock) {
+      EXPECT_GT(burst.superblock_stats().fused_instructions, 0u);
+    }
   }
 }
 

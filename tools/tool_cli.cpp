@@ -1,6 +1,7 @@
 #include "tool_cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -77,16 +78,27 @@ void OptionReader::choice(std::string& out,
   reject(v, all);
 }
 
-void OptionReader::rate(double& out) {
+void OptionReader::parse_real(const char* what, bool (*valid)(double),
+                              double& out) {
   const char* v = value();
   if (!v) return;
   char* end = nullptr;
   const double r = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !(r >= 0.0 && r <= 1.0)) {
-    reject(v, "a rate in [0, 1]");
+  if (end == v || *end != '\0' || !valid(r)) {
+    reject(v, what);
   } else {
     out = r;
   }
+}
+
+void OptionReader::rate(double& out) {
+  parse_real("a rate in [0, 1]",
+             [](double r) { return r >= 0.0 && r <= 1.0; }, out);
+}
+
+void OptionReader::positive(double& out) {
+  parse_real("a finite number > 0",
+             [](double r) { return r > 0.0 && std::isfinite(r); }, out);
 }
 
 bool OptionReader::layer_option(LayerArgs& a) {

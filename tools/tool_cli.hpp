@@ -65,6 +65,13 @@ class OptionReader {
   void choice(std::string& out, std::initializer_list<const char*> names);
   /// A whole-string real number in [0, 1].
   void rate(double& out);
+  /// A whole-string finite real number > 0.
+  void positive(double& out);
+  /// True when the current option is followed by an argument that is not
+  /// itself an option: lets an option take an optional value.
+  bool has_value() const {
+    return i_ + 1 < argc_ && argv_[i_ + 1][0] != '-';
+  }
   /// Reject the current option: argument `v` is not `what`, or, with `v`
   /// null, the option is unknown.
   void reject(const char* v = nullptr, const std::string& what = {});
@@ -80,6 +87,9 @@ class OptionReader {
 
  private:
   bool parse_count(u64 lo, u64 hi, u64& out);
+  /// Consume a whole-string real number that `valid` accepts (`what`
+  /// describes it when rejected).
+  void parse_real(const char* what, bool (*valid)(double), double& out);
 
   const char* tool_;
   void (*usage_)();
