@@ -202,8 +202,9 @@ int main(int argc, char** argv) {
     const ConvVariant v = (bits == 8) ? ConvVariant::kXpulpV2_8b
                                       : ConvVariant::kXpulpNN_HwQ;
     std::printf("\n%u-bit kernel:\n", bits);
-    std::printf("%7s %11s %9s %11s %9s %9s %8s %7s\n", "cores", "ref-MIPS",
-                "ref-s", "burst-MIPS", "burst-s", "speedup", "burst%", "check");
+    std::printf("%7s %11s %9s %11s %9s %9s %8s %9s %7s\n", "cores",
+                "ref-MIPS", "ref-s", "burst-MIPS", "burst-s", "speedup",
+                "burst%", "peak-log", "check");
     for (const int n : {1, 2, 4, 8}) {
       const ClusterWorkload w = make_workload(data, v, n);
       const SchedResults r = measure_schedulers(w, gold);
@@ -221,9 +222,12 @@ int main(int argc, char** argv) {
           r.exact && r.output_ok && r.burst_stats.fallback_runs == 0;
       all_ok = all_ok && ok;
       if (n == 8) speedup_8core = std::min(speedup_8core, speedup);
-      std::printf("%7d %11.2f %8.3fs %11.2f %8.3fs %8.2fx %7.1f%% %7s\n", n,
-                  r.ref.mips(), r.ref.host_seconds, r.burst.mips(),
-                  r.burst.host_seconds, speedup, burst_frac, okstr(ok));
+      std::printf("%7d %11.2f %8.3fs %11.2f %8.3fs %8.2fx %7.1f%% %9llu %7s\n",
+                  n, r.ref.mips(), r.ref.host_seconds, r.burst.mips(),
+                  r.burst.host_seconds, speedup, burst_frac,
+                  static_cast<unsigned long long>(
+                      r.burst_stats.peak_lane_entries),
+                  okstr(ok));
 
       const std::string p =
           "host.b" + std::to_string(bits) + ".c" + std::to_string(n);
@@ -243,6 +247,8 @@ int main(int argc, char** argv) {
       reg.counter(p + ".burst.replayed_accesses",
                   r.burst_stats.replayed_accesses);
       reg.counter(p + ".burst.fallback_runs", r.burst_stats.fallback_runs);
+      reg.counter(p + ".burst.peak_lane_entries",
+                  r.burst_stats.peak_lane_entries);
       reg.flag(p + ".exact", r.exact);
       reg.flag(p + ".output_ok", r.output_ok);
     }

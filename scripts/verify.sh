@@ -60,6 +60,14 @@ e2e_smoke_step() {
 step "e2ebench: tiny_net4 traced smoke (quant attribution vs profiler)" \
   e2e_smoke_step
 
+e2e_cluster_smoke_step() {
+  python3 e2ebench/run.py --workload cluster8_paper --seed 1 --seconds 1 \
+    --trace 1 | tail -n 1 > /tmp/e2e-cluster-smoke.json
+  python3 -c "import json, sys; r = json.load(open('/tmp/e2e-cluster-smoke.json')); m = r['metrics']; fb = m['cluster.burst.fallback_runs']['value']; ep = m['cluster.burst.epochs']['value']; print('e2e cluster smoke:', r['correct'], 'fallback_runs', fb, 'epochs', ep); sys.exit(0 if r['correct'] is True and fb == 0 and ep > 0 else 1)"
+}
+step "e2ebench: cluster8_paper traced smoke (default cluster bursts)" \
+  e2e_cluster_smoke_step
+
 step "xlint: encoding-space audit + kernel sweep" \
   ./build/tools/xlint --audit --kernels
 

@@ -210,8 +210,6 @@ void Cluster::fold_lane(int core) {
   if (!lane.drained()) {
     throw SimError("internal: folding an undrained burst lane");
   }
-  lane.log.clear();
-  lane.head = 0;
   const u64 pend = lane.pending_stalls();
   if (pend == 0) return;
   sim::Core& c = *cores_[static_cast<size_t>(core)];
@@ -415,11 +413,24 @@ u64 Cluster::drive_burst(u64 target) {
     // Sink pushes bypass the hook, so the pending count is reconciled
     // from the per-lane logs once per epoch instead of per access.
     lanes_pending_ = 0;
-    for (const auto& l : lanes_) lanes_pending_ += l.log.size() - l.head;
+    for (const auto& l : lanes_) {
+      lanes_pending_ += l.log.size() - l.head;
+      burst_stats_.peak_lane_entries =
+          std::max<u64>(burst_stats_.peak_lane_entries, l.log.size());
+    }
 
-    // Phase 2: replay everything ordered before the new frontier.
+    // Phase 2: replay everything ordered before the new frontier, then
+    // drop each lane's replayed prefix: a core that ends every epoch
+    // ahead of the frontier never drains, so its log would otherwise keep
+    // every access of the run. erase() keeps each vector in place (the
+    // cores' burst sinks point at it).
     const double t1 = host_now();
     merge_epoch();
+    for (auto& l : lanes_) {
+      l.log.erase(l.log.begin(),
+                  l.log.begin() + static_cast<std::ptrdiff_t>(l.head));
+      l.head = 0;
+    }
     burst_stats_.host_burst_seconds += t1 - t0;
     burst_stats_.host_merge_seconds += host_now() - t1;
     burst_stats_.epochs += 1;

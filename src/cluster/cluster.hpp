@@ -32,22 +32,28 @@ namespace xpulp::cluster {
 ///    core with the smallest (local clock, core index) — the event-driven
 ///    reference whose cross-core ordering every other mode is measured
 ///    against.
-///  - kBurst: deferred-arbitration burst scheduling (DESIGN.md §15). Cores
-///    execute bounded bursts at full dispatch speed (fast path +
-///    superblocks) while their TCDM accesses are logged instead of
-///    arbitrated; a merge then replays the log through the bank arbiter in
-///    provably-reference order and folds the resulting stalls back into
-///    the cores' counters. Bit-identical to kReference for race-free
-///    programs (xrace's pre-load gate is the safety precondition; programs
-///    that read the cycle CSR, traced cores, or a contention injector
-///    demote the run to kReference automatically).
+///  - kBurst (the default): deferred-arbitration burst scheduling
+///    (DESIGN.md §15). Cores execute bounded bursts at full dispatch speed
+///    (fast path + superblocks) while their TCDM accesses are logged
+///    instead of arbitrated; a merge then replays the log through the bank
+///    arbiter in provably-reference order and folds the resulting stalls
+///    back into the cores' counters. Programs that read the cycle CSR,
+///    traced cores, or a contention injector demote the run to kReference
+///    automatically (counted in ClusterBurstStats::fallback_runs).
+///
+/// Precondition of kBurst: the programs are race-free (no core reads or
+/// writes a word another core writes). Only then is it bit-identical to
+/// kReference; a deliberately racy program must ask for kReference.
+/// Every parallel kernel deployment is proven race-free by xrace's static
+/// analysis (see analysis::analyze_races and its tier-1 test).
 enum class SchedulerMode { kReference, kBurst };
 
 struct ClusterConfig {
   int num_cores = 8;
   u32 banks_per_core = 2;  // PULP TCDM banking factor
   sim::CoreConfig core = sim::CoreConfig::extended();
-  SchedulerMode scheduler = SchedulerMode::kReference;
+  /// Burst unless the programs race (see SchedulerMode).
+  SchedulerMode scheduler = SchedulerMode::kBurst;
   /// Burst scheduling epoch width in cycles: each epoch advances every
   /// core to a common cycle horizon `min local clock + burst_horizon`
   /// before replaying the deferred accesses. Purely a host-performance
@@ -64,6 +70,7 @@ struct ClusterBurstStats {
   u64 replayed_accesses = 0;  // accesses replayed through the merge
   u64 deferred_stall_cycles = 0;  // arbiter stalls assigned by the merge
   u64 fallback_runs = 0;      // whole runs demoted to reference scheduling
+  u64 peak_lane_entries = 0;  // longest deferred-access log any lane held
   double host_burst_seconds = 0;  // host time inside core bursts (phase 1)
   double host_merge_seconds = 0;  // host time replaying logs (phase 2)
 };

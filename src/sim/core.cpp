@@ -114,17 +114,23 @@ void Core::reset(addr_t pc, addr_t code_end) {
   mpc_ = 0;
   icache_.clear();
   icache_valid_.clear();
+  icache_base_ = 0;
   decode_gen_ += 1;
   sb_clear();
   sb_stats_ = SuperblockStats{};
   if (code_end != 0) {
-    // Pre-size the decode cache to the loaded image so the run loop never
-    // pays a resize, and stores beyond the code range cost one compare.
-    const u32 parcels = static_cast<u32>(
-        std::min<u64>((static_cast<u64>(code_end) + 1) >> 1,
-                      (static_cast<u64>(mem_.size()) + 1) >> 1));
-    icache_.resize(parcels);
-    icache_valid_.assign(parcels, 0);
+    // Pre-size the decode cache to the loaded image [entry, code_end) so
+    // the run loop never pays a resize, and stores beyond the code range
+    // cost one compare. Basing it at the entry rather than at address 0
+    // keeps a cluster core whose code sits high in the shared memory from
+    // allocating a decode slot for every parcel below it.
+    icache_base_ = std::min<addr_t>(pc, mem_.size()) & ~addr_t{1};
+    const u64 end = std::min<u64>(code_end, mem_.size());
+    if (end > icache_base_) {
+      const u32 parcels = static_cast<u32>((end - icache_base_ + 1) >> 1);
+      icache_.resize(parcels);
+      icache_valid_.assign(parcels, 0);
+    }
   }
   if (pre_run_gate_ && code_end > pc) {
     pre_run_gate_(mem_, pc, code_end);
@@ -132,7 +138,7 @@ void Core::reset(addr_t pc, addr_t code_end) {
 }
 
 const Instr& Core::fetch_decode(addr_t pc) {
-  const u32 idx = pc >> 1;
+  u32 idx = (pc - icache_base_) >> 1;
   if (idx < icache_valid_.size() && icache_valid_[idx]) return icache_[idx];
 
   // Cold path. Fetch the parcels first so a wild pc faults before the
@@ -142,10 +148,21 @@ const Instr& Core::fetch_decode(addr_t pc) {
   u32 raw = low;
   if (!isa::is_compressed(low)) raw |= static_cast<u32>(mem_.load_u16(pc + 2)) << 16;
 
-  if (idx >= icache_valid_.size()) {
+  if (pc < icache_base_) {
+    // Code below the base (a pc below it wrapped to a huge index above):
+    // rebase down, growing at the front. Geometric, like the growth at
+    // the end, so walking down through code costs amortised O(1).
+    const u32 size = static_cast<u32>(icache_valid_.size());
+    const u32 need = (icache_base_ - (pc & ~addr_t{1})) >> 1;
+    const u32 grow = std::min(std::max(need, size), icache_base_ >> 1);
+    icache_.insert(icache_.begin(), grow, isa::Instr{});
+    icache_valid_.insert(icache_valid_.begin(), grow, 0);
+    icache_base_ -= grow << 1;
+    idx = (pc - icache_base_) >> 1;
+  } else if (idx >= icache_valid_.size()) {
     // Geometric growth; the old resize-to-idx+1 policy re-copied the whole
     // cache on every miss past the end (O(n^2) in fetched code size).
-    const u32 cap = (mem_.size() + 1) >> 1;  // every in-bounds pc fits
+    const u32 cap = (mem_.size() - icache_base_ + 1) >> 1;  // in-bounds pcs
     u32 new_size = std::max<u32>(4096, static_cast<u32>(icache_valid_.size()) * 2);
     new_size = std::min(std::max(new_size, idx + 1), cap);
     icache_.resize(new_size);
@@ -165,12 +182,14 @@ void Core::icache_invalidate(addr_t a, unsigned size) {
   }
   const u32 limit = static_cast<u32>(icache_valid_.size());
   if (limit == 0) return;
-  // A 32-bit instruction starting one parcel below the store covers the
-  // stored parcel too.
-  const u32 first = a >> 1;
+  if (static_cast<u64>(a) + size <= icache_base_) return;  // below the cache
+  // Parcels relative to the cache base; a store straddling the base
+  // starts at its first parcel. A 32-bit instruction starting one parcel
+  // below the store covers the stored parcel too.
+  const u32 first = (a > icache_base_ ? a - icache_base_ : 0) >> 1;
   const u32 lo = first == 0 ? 0 : first - 1;
   if (lo >= limit) return;
-  const u32 hi = std::min((a + size - 1) >> 1, limit - 1);
+  const u32 hi = std::min((a + size - 1 - icache_base_) >> 1, limit - 1);
   for (u32 i = lo; i <= hi; ++i) icache_valid_[i] = 0;
 }
 

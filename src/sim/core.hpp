@@ -234,7 +234,10 @@ class Core {
   /// Reset architectural state and start executing at `pc`. Clears the
   /// decode cache (call after loading a new program image). When
   /// `code_end` (one past the last code byte) is nonzero the decode cache
-  /// is pre-sized to cover [0, code_end) so the hot loop never resizes.
+  /// is based at `pc` and pre-sized to cover [pc, code_end), so the hot
+  /// loop never resizes; code below `pc` still runs (the cache rebases
+  /// down on first fetch). With `code_end == 0` the cache is based at 0.
+  /// Programs are entered at their base (xasm::Program::entry()).
   void reset(addr_t pc, addr_t code_end = 0);
 
   u32 reg(unsigned r) const { return regs_[r & 31]; }
@@ -415,6 +418,10 @@ class Core {
   /// memory restore). Bumps the decode generation.
   void invalidate_decode_cache();
 
+  /// Decode-cache extent in 16-bit parcels, starting at the program's
+  /// entry (diagnostic: a cluster core caches only its own program).
+  size_t decode_cache_parcels() const { return icache_.size(); }
+
   /// Number of whole-cache invalidations (reset/restore/host pokes) this
   /// core has seen — diagnostic for checkpoint/fault reports.
   u64 decode_generation() const { return decode_gen_; }
@@ -433,7 +440,7 @@ class Core {
   /// path keeps calling fetch_decode() directly, preserving the pre-PR
   /// per-step call.
   const isa::Instr& fetch_decode_fast(addr_t pc) {
-    const u32 idx = pc >> 1;
+    const u32 idx = (pc - icache_base_) >> 1;
     if (idx < icache_valid_.size() && icache_valid_[idx]) [[likely]] {
       return icache_[idx];
     }
@@ -653,7 +660,9 @@ class Core {
   cycles_t hook_start_ = 0;
   cycles_t hook_cycle_ = 0;
 
-  // Direct-mapped decode cache indexed by pc >> 1.
+  // Direct-mapped decode cache indexed by (pc - icache_base_) >> 1. A pc
+  // below the base wraps to a huge index and misses into the cold path.
+  addr_t icache_base_ = 0;
   std::vector<isa::Instr> icache_;
   std::vector<u8> icache_valid_;
   u64 decode_gen_ = 0;

@@ -423,8 +423,11 @@ void finish_cluster(cluster::Cluster& cl) {
 }
 
 TEST(CkptDiff, ClusterMidRunRestoreIntoFreshInstance) {
+  // The per-instruction stepping below is the reference scheduler; the
+  // uninterrupted baseline runs it too.
   cluster::ClusterConfig ccfg;
   ccfg.num_cores = 4;
+  ccfg.scheduler = cluster::SchedulerMode::kReference;
   const auto progs = cluster_programs(4);
 
   // Uninterrupted baseline.

@@ -292,6 +292,7 @@ TEST(BurstSchedDiff, SameBankConflictStress) {
   for (const int cores : {2, 4, 8}) {
     const auto progs = same_bank_programs(cores, 600);
     ClusterConfig ref_cfg;
+    ref_cfg.scheduler = SchedulerMode::kReference;
     const RunCapture ref = run_programs(progs, ref_cfg);
     ASSERT_GT(ref.stats.bank_conflicts, 100u) << cores << " cores";
 
@@ -323,7 +324,9 @@ u64 total_instructions(const RunCapture& c) {
 
 TEST(BurstSchedDiff, BudgetTrapsAtExactInstructionIndex) {
   const auto progs = same_bank_programs(4, 400);
-  const RunCapture full = run_programs(progs, ClusterConfig{});
+  ClusterConfig ref_cfg;
+  ref_cfg.scheduler = SchedulerMode::kReference;
+  const RunCapture full = run_programs(progs, ref_cfg);
   const u64 total = total_instructions(full);
   ASSERT_GT(total, 1000u);
 
@@ -501,13 +504,72 @@ TEST(BurstSchedDiff, CycleCsrProgramsDemoteToReference) {
     progs.push_back(a.finish());
   }
 
-  const RunCapture ref = run_programs(progs, ClusterConfig{});
+  ClusterConfig ref_cfg;
+  ref_cfg.scheduler = SchedulerMode::kReference;
+  const RunCapture ref = run_programs(progs, ref_cfg);
   ClusterConfig burst_cfg;
   burst_cfg.scheduler = SchedulerMode::kBurst;
   const RunCapture demoted = run_programs(progs, burst_cfg);
   expect_captures_identical(ref, demoted, "demoted run");
   EXPECT_GT(demoted.burst.fallback_runs, 0u);
   EXPECT_EQ(demoted.burst.bursts, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The default cluster: burst scheduling on the paper deployment, in bounded
+// memory (DESIGN.md §15).
+
+struct DefaultRun {
+  ClusterBurstStats burst;
+  std::vector<size_t> parcels;         // each core's decode-cache extent
+  std::vector<size_t> program_bytes;   // each core's program size
+};
+
+DefaultRun run_default_paper_layer(unsigned bits) {
+  const auto data =
+      ConvLayerData::random(qnn::ConvSpec::paper_layer(bits), 12345);
+  const ConvVariant v =
+      bits == 8 ? ConvVariant::kXpulpV2_8b : ConvVariant::kXpulpNN_HwQ;
+  DefaultRun out;
+  const auto res = run_parallel_conv(
+      data, v, ClusterConfig{}, {},
+      [&](Cluster& cl, const std::vector<kernels::ConvKernel>& ks) {
+        out.burst = cl.burst_stats();
+        for (int c = 0; c < cl.num_cores(); ++c) {
+          out.parcels.push_back(cl.core(c).decode_cache_parcels());
+          out.program_bytes.push_back(
+              ks[static_cast<size_t>(c)].program.size_bytes());
+        }
+      });
+  EXPECT_EQ(res.output == data.golden(), true) << bits << "-bit golden";
+  return out;
+}
+
+TEST(ClusterDefaults, PaperLayerBurstsByDefault) {
+  EXPECT_EQ(ClusterConfig{}.scheduler, SchedulerMode::kBurst);
+  const DefaultRun run = run_default_paper_layer(4);
+  // A silent demotion of the default would still match the golden.
+  EXPECT_EQ(run.burst.fallback_runs, 0u);
+  EXPECT_GT(run.burst.bursts, 0u);
+  // Core c's code sits at c x 0x4000 in the shared memory; a decode cache
+  // based at address 0 would hold c x 0x2000 parcels it never uses.
+  ASSERT_EQ(run.parcels.size(), 8u);
+  for (size_t c = 0; c < run.parcels.size(); ++c) {
+    EXPECT_EQ(run.parcels[c], (run.program_bytes[c] + 1) / 2) << "core " << c;
+  }
+}
+
+TEST(BurstLaneLogs, PaperLayersStayBounded) {
+  // Lane logs are compacted every epoch, so a core that keeps ending its
+  // epoch ahead of the frontier holds about one epoch of accesses rather
+  // than the whole layer's.
+  const u64 bound = 4 * (u64{ClusterConfig{}.burst_horizon} + 256);
+  for (const unsigned bits : {8u, 4u}) {
+    const DefaultRun run = run_default_paper_layer(bits);
+    EXPECT_EQ(run.burst.fallback_runs, 0u) << bits << "-bit";
+    EXPECT_GT(run.burst.peak_lane_entries, 0u) << bits << "-bit";
+    EXPECT_LE(run.burst.peak_lane_entries, bound) << bits << "-bit";
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "ckpt/snapshot.hpp"
 #include "diff_test_util.hpp"
 #include "isa/encoding.hpp"
 #include "kernels/conv_layer.hpp"
@@ -21,6 +22,7 @@ namespace xpulp {
 namespace {
 
 using test::expect_identical;
+using test::final_state_of;
 using test::FinalState;
 using test::random_program;
 using test::run_mode;
@@ -266,6 +268,201 @@ TEST(DispatchDiff, DecodeCacheGrowthCoversWidePrograms) {
   core.reset(prog.entry());  // no code_end: exercise growth, not pre-size
   ASSERT_EQ(core.run(1000), sim::HaltReason::kEcall);
   EXPECT_EQ(core.reg(10), 42u);
+}
+
+// ---------------------------------------------------------------------------
+// Decode cache based at the program entry (DESIGN.md §8): a program loaded
+// at a nonzero base caches only [entry, code_end). Code below the entry
+// rebases the cache down, and stores at, just below and straddling the base
+// invalidate base-relative. Every case runs reference ≡ fast ≡ superblock.
+
+constexpr addr_t kBase = 0x1c000;
+
+enum class Dispatch { kReference, kFast, kSuperblock };
+constexpr Dispatch kDispatches[] = {Dispatch::kReference, Dispatch::kFast,
+                                    Dispatch::kSuperblock};
+
+sim::CoreConfig dispatch_config(Dispatch d) {
+  sim::CoreConfig cfg = sim::CoreConfig::extended();
+  cfg.reference_dispatch = d == Dispatch::kReference;
+  cfg.superblock = d == Dispatch::kSuperblock;
+  return cfg;
+}
+
+struct BasedRun {
+  FinalState state;
+  size_t parcels = 0;  // decode-cache extent after the run
+  sim::SuperblockStats sb;
+};
+
+/// Load `below` (code placed under the entry) and `main`, reset at main's
+/// entry with main's code extent, and run to halt.
+BasedRun run_based(const xasm::Program& main,
+                   const std::vector<xasm::Program>& below, Dispatch d) {
+  mem::Memory mem;
+  for (const auto& p : below) p.load(mem);
+  main.load(mem);
+  sim::Core core(mem, dispatch_config(d));
+  core.reset(main.entry(), main.base() + main.size_bytes());
+  core.run(2'000'000);
+  return {final_state_of(core, mem), core.decode_cache_parcels(),
+          core.superblock_stats()};
+}
+
+/// A subroutine 4 KiB below kBase summing a1..1 into a0 (a hot loop the
+/// superblock engine fuses), and a main program at kBase calling it 5 times.
+std::vector<xasm::Program> call_below_programs() {
+  namespace r = xasm::reg;
+  xasm::Assembler sub(kBase - 0x1000);
+  const auto loop = sub.here();
+  sub.add(r::a0, r::a0, r::a1);
+  sub.addi(r::a1, r::a1, -1);
+  sub.bne(r::a1, r::zero, loop);
+  sub.ret();
+
+  xasm::Assembler m(kBase);
+  m.li(r::s1, 5);
+  m.li(r::t0, static_cast<i32>(kBase - 0x1000));
+  const auto again = m.here();
+  m.li(r::a1, 200);
+  m.jalr(r::ra, r::t0, 0);
+  m.addi(r::s1, r::s1, -1);
+  m.bne(r::s1, r::zero, again);
+  m.ecall();
+  return {m.finish(), sub.finish()};
+}
+
+TEST(DecodeCacheBase, CallIntoCodeBelowEntryRebasesDown) {
+  const auto progs = call_below_programs();
+  const xasm::Program& main = progs[0];
+  const BasedRun ref = run_based(main, {progs[1]}, Dispatch::kReference);
+  ASSERT_EQ(ref.state.reason, sim::HaltReason::kEcall);
+  EXPECT_EQ(ref.state.regs[10], 5u * (200 * 201 / 2));
+  for (const Dispatch d : kDispatches) {
+    const BasedRun run = run_based(main, {progs[1]}, d);
+    expect_identical(ref.state, run.state);
+    // The cache grew at the front to reach the subroutine, but it still
+    // starts near the code, not at address 0.
+    EXPECT_GE(run.parcels, (0x1000 + main.size_bytes()) / 2);
+    EXPECT_LT(run.parcels, kBase / 2);
+    if (d == Dispatch::kSuperblock) {
+      EXPECT_GT(run.sb.blocks_compiled, 0u) << "hot loop below the entry";
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "dispatch " << static_cast<int>(d);
+    }
+  }
+}
+
+/// A program at kBase whose first instruction `addi a0, a0, 1` runs twice;
+/// between the passes it stores `value` (`bytes` wide) at `addr`.
+xasm::Program store_around_base_program(addr_t addr, u32 value,
+                                        unsigned bytes) {
+  namespace r = xasm::reg;
+  xasm::Assembler a(kBase);
+  const auto target = a.here();
+  a.addi(r::a0, r::a0, 1);
+  const auto do_patch = a.new_label();
+  a.beq(r::t2, r::zero, do_patch);
+  a.ecall();
+  a.bind(do_patch);
+  a.addi(r::t2, r::zero, 1);
+  a.li(r::t0, static_cast<i32>(addr));
+  a.li(r::t1, static_cast<i32>(value));
+  if (bytes == 4) {
+    a.sw(r::t1, r::t0, 0);
+  } else {
+    a.sh(r::t1, r::t0, 0);
+  }
+  a.j(target);
+  return a.finish();
+}
+
+u32 addi_word(u8 rd, u8 rs1, i32 imm) {
+  isa::Instr in;
+  in.op = isa::Mnemonic::kAddi;
+  in.rd = rd;
+  in.rs1 = rs1;
+  in.imm = imm;
+  return isa::encode(in);
+}
+
+TEST(DecodeCacheBase, SelfModifyingStoresAtJustBelowAndStraddlingTheBase) {
+  const u32 orig = addi_word(10, 10, 1);       // addi a0, a0, 1
+  const u32 plus100 = addi_word(10, 10, 100);  // addi a0, a0, 100
+  const u32 to_a1 = addi_word(11, 10, 1);      // addi a1, a0, 1
+  // The straddling store rewrites only the low half (opcode, rd), so the
+  // patched word must share the original's high half.
+  ASSERT_EQ(orig >> 16, to_a1 >> 16);
+
+  struct Case {
+    const char* what;
+    addr_t addr;
+    u32 value;
+    unsigned bytes;
+    u32 a0, a1;  // expected after the second pass
+  };
+  const Case cases[] = {
+      {"word at the base", kBase, plus100, 4, 101, 0},
+      // The upper parcel of the 32-bit instruction at the base: the
+      // "instruction one parcel below the store" rule at index 0.
+      {"halfword above the base", kBase + 2, plus100 >> 16, 2, 101, 0},
+      {"halfword just below the base", kBase - 2, 0xbeef, 2, 2, 0},
+      {"word straddling the base", kBase - 2, (to_a1 << 16) | 0xbeef, 4, 1,
+       2},
+  };
+  for (const Case& c : cases) {
+    const xasm::Program prog =
+        store_around_base_program(c.addr, c.value, c.bytes);
+    const BasedRun ref = run_based(prog, {}, Dispatch::kReference);
+    ASSERT_EQ(ref.state.reason, sim::HaltReason::kEcall) << c.what;
+    EXPECT_EQ(ref.state.regs[10], c.a0) << c.what;
+    EXPECT_EQ(ref.state.regs[11], c.a1) << c.what;
+    for (const Dispatch d : kDispatches) {
+      expect_identical(ref.state, run_based(prog, {}, d).state);
+    }
+    if (::testing::Test::HasFailure()) FAIL() << c.what;
+  }
+}
+
+TEST(DecodeCacheBase, SnapshotRestoreBelowTheBase) {
+  // Pause inside the subroutine below the entry, snapshot, then resume
+  // both into a fresh core based at the entry (the restored pc wraps below
+  // its base) and into the rewound live core (invalidate_decode_cache on a
+  // cache that already rebased down).
+  const auto progs = call_below_programs();
+  const xasm::Program& main = progs[0];
+  const FinalState ref =
+      run_based(main, {progs[1]}, Dispatch::kReference).state;
+  const auto load = [&](mem::Memory& mem, sim::Core& core) {
+    progs[1].load(mem);
+    main.load(mem);
+    core.reset(main.entry(), main.base() + main.size_bytes());
+  };
+  for (const Dispatch d : kDispatches) {
+    mem::Memory mem;
+    sim::Core core(mem, dispatch_config(d));
+    load(mem, core);
+    ASSERT_EQ(core.run_steps(777), 777u);
+    ASSERT_LT(core.pc(), kBase) << "the pause must land below the entry";
+    const ckpt::Snapshot snap = ckpt::capture(core, mem);
+    core.run(2'000'000);
+    expect_identical(ref, final_state_of(core, mem));
+
+    ckpt::apply(snap, core, mem);
+    core.run(2'000'000);
+    expect_identical(ref, final_state_of(core, mem));
+
+    mem::Memory fresh_mem;
+    sim::Core fresh(fresh_mem, dispatch_config(d));
+    load(fresh_mem, fresh);
+    ckpt::apply(snap, fresh, fresh_mem);
+    fresh.run(2'000'000);
+    expect_identical(ref, final_state_of(fresh, fresh_mem));
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "dispatch " << static_cast<int>(d);
+    }
+  }
 }
 
 }  // namespace

@@ -173,8 +173,11 @@ TEST(XraceShadow, InjectedOverlapCaughtAtExactPcPairAndCycle) {
   const auto ps = programs_of(ks);
   const RaceReport srep = analyze_races(ps);
 
+  // A deliberately racy deployment: burst scheduling is exact only for
+  // race-free programs, so this run asks for the reference scheduler.
   cluster::ClusterConfig cfg;
   cfg.num_cores = 2;
+  cfg.scheduler = cluster::SchedulerMode::kReference;
   cluster::Cluster cl(cfg);
   kernels::load_conv_data(data, ks[0].layout, cl.memory());
   ShadowMemory shadow;

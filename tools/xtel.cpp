@@ -433,6 +433,8 @@ int run_cluster(const Args& args, const kernels::ConvLayerData& data,
     reg.counter("cluster.burst.replayed_accesses",
                 pass.burst.replayed_accesses);
     reg.counter("cluster.burst.fallback_runs", pass.burst.fallback_runs);
+    reg.counter("cluster.burst.peak_lane_entries",
+                pass.burst.peak_lane_entries);
   }
   heatmap.add_to_registry(reg, "xtel.heatmap");
   reg.flag("xtel.heatmap.reconciled",
