@@ -87,9 +87,9 @@ step "xtel: sampled telemetry + energy reconciliation" \
 step "xtel: cluster heatmap reconciliation + scheduler parity" \
   ./build/tools/xtel --small --cores 4 --heatmap /tmp/xtel-heatmap.json
 
-step "cluster: burst scheduler differential (2 + 8 cores)" \
+step "cluster: burst scheduler differential (2, 8 + 24 cores, reload)" \
   ./build/tests/test_cluster_sched \
-  --gtest_filter='*/b8_c2:*/b8_c8:*/b4_c2:*/b4_c8:BurstSchedDiff.Budget*:BurstSchedDiff.Sampled*'
+  --gtest_filter='*/b8_c2:*/b8_c8:*/b4_c2:*/b4_c8:BurstSchedDiff.Budget*:BurstSchedDiff.Sampled*:BurstSchedDiff.TwentyFourCores*:ClusterReload.*'
 
 cluster_bench_step() {
   cmake --preset release-bench

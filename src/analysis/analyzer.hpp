@@ -75,7 +75,7 @@ class AnalysisError : public SimError {
   AnalysisReport report_;
 };
 
-/// Build a Core/Cluster pre-run gate: on every reset with a known code
+/// Build a Core pre-run gate: on every reset with a known code
 /// extent it re-analyzes the loaded image [entry, code_end) and throws
 /// AnalysisError if any error-severity diagnostic is found.
 sim::Core::PreRunGate make_pre_run_gate(AnalyzerOptions opt);

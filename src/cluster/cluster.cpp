@@ -20,7 +20,7 @@ namespace {
 // cycles, fused ops <= 64) with generous headroom.
 constexpr cycles_t kSampleMargin = 2048;
 constexpr cycles_t kBurstOvershoot = 256;
-// Reference-segment chunk (in scheduler steps, times num_cores) used when
+// Reference-step chunk (in scheduler steps, times num_cores) used when
 // an epoch could not burst every core — enough to carry a sampler-blocked
 // core across its deadline.
 constexpr u64 kRefChunk = 512;
@@ -109,9 +109,9 @@ void Cluster::load(const std::vector<xasm::Program>& programs) {
 
 void Cluster::begin_run() {
   // Route the stepping core's data accesses through the bank arbiter at
-  // its current local cycle. Installed once per run; the scheduling loop
-  // only updates active_core_/active_core_id_ instead of building a new
-  // std::function closure per step.
+  // its current local cycle. Installed once per run_steps() call; the
+  // scheduling loops only update active_core_/active_core_id_ instead of
+  // building a new std::function closure per step.
   mem_.set_access_hook([this](addr_t a, unsigned size,
                               bool is_store) -> unsigned {
     if (logging_) [[unlikely]] {
@@ -120,7 +120,7 @@ void Cluster::begin_run() {
       // pick key), issue cycle and pc in the core's pre-merge local
       // coordinates (the superblock engine latches exact per-op values
       // when a hook is installed; the interpreter reports live ones) —
-      // and charge nothing. merge_replay() later runs the entries
+      // and charge nothing. merge_epoch() later runs the entries
       // through the arbiter in provably-reference order and assigns the
       // stalls to the lane.
       // (The superblock slim path appends to the same per-lane log
@@ -156,25 +156,6 @@ void Cluster::end_run() {
   active_core_ = nullptr;
   active_core_id_ = -1;
   logging_ = false;
-}
-
-bool Cluster::step_once() {
-  // Pick the non-halted core with the smallest local time.
-  sim::Core* next = nullptr;
-  int next_id = -1;
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    if (cores_[i]->halted()) continue;
-    if (next == nullptr || cores_[i]->perf().cycles < next->perf().cycles) {
-      next = cores_[i].get();
-      next_id = static_cast<int>(i);
-    }
-  }
-  if (next == nullptr) return false;  // all halted
-
-  active_core_ = next;
-  active_core_id_ = next_id;
-  next->step();
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -217,7 +198,7 @@ void Cluster::fold_lane(int core) {
   mem_.add_contention_stalls(pend);
   lane.folded = lane.assigned;
   // Sample fires must land on fully-folded boundaries (reference
-  // segments); the burst horizon clamp keeps sampled cores kSampleMargin
+  // steps); the burst horizon clamp keeps sampled cores kSampleMargin
   // folded cycles short of their deadline so the stalls folded here can
   // never carry them across it. If the program's conflict density defeats
   // the margin, fail loudly rather than emit a late sample.
@@ -232,8 +213,8 @@ u64 Cluster::frontier() const {
   u64 f = kInfKey;
   for (size_t i = 0; i < cores_.size(); ++i) {
     if (cores_[i]->halted()) continue;
-    f = std::min(f, MinClockHeap::key(true_clock(static_cast<int>(i)),
-                                      static_cast<int>(i)));
+    f = std::min(f, pick_key(true_clock(static_cast<int>(i)),
+                             static_cast<int>(i)));
   }
   return f;
 }
@@ -245,7 +226,7 @@ u64 Cluster::merge_epoch() {
   // frontier that goes stale is conservatively low — the merge under-pops
   // and the leftover entries roll into the next call. Repeating the call
   // until it pops nothing therefore replays exactly the sequence a
-  // frontier recomputed after every pop would (reference_segment does
+  // frontier recomputed after every pop would (reference_steps does
   // that). Per-lane head keys are cached and only the popped lane's key is
   // recomputed, making a pop O(num_cores) over a contiguous u64 array.
   if (lanes_pending_ == 0) return 0;
@@ -258,7 +239,7 @@ u64 Cluster::merge_epoch() {
     const LaneEntry& e = lane.log[lane.head];
     const u64 off = e.start == lane.cur_start ? lane.cur_offset
                                               : lane.pending_stalls();
-    return MinClockHeap::key(e.start + off, static_cast<int>(i));
+    return pick_key(e.start + off, static_cast<int>(i));
   };
   for (size_t i = 0; i < n; ++i) keys[i] = head_key(i);
   // The pop loop runs once per logged access of the entire simulation, so
@@ -311,23 +292,22 @@ u64 Cluster::merge_epoch() {
   return popped;
 }
 
-u64 Cluster::reference_segment(u64 max_steps, u64 budget) {
-  // Exact reference stepping interleaved with replay of still-pending
-  // burst accesses. Every iteration pops all accesses ordered before the
-  // frontier core's next instruction, folds that core's (now drained)
-  // lane so its counters are true, then steps it through the arbitrating
-  // hook — the global arbiter call sequence stays in lexicographic order
-  // throughout. Used for sample deadlines, the band-closing tail of a
-  // burst run, and the final drain (all cores halted makes the frontier
-  // infinite, so the merge flushes every lane).
+u64 Cluster::reference_steps(u64 n) {
+  // Exact reference stepping. While burst accesses are still pending,
+  // every step first pops all accesses ordered before the frontier core's
+  // next instruction, folds that core's (now drained) lane so its counters
+  // are true, then steps it through the arbitrating hook — the global
+  // arbiter call sequence stays in lexicographic order throughout. This
+  // carries a burst run across sample deadlines, closes its band and does
+  // the final drain (all cores halted makes the frontier infinite, so the
+  // merge flushes every lane).
   u64 executed = 0;
-  const u64 limit = std::min(max_steps, budget);
-  while (executed < limit) {
+  while (lanes_pending_ != 0 && executed < n) {
     while (merge_epoch() != 0) {
     }
     const u64 front = frontier();
     if (front == kInfKey) break;  // all halted (lanes flushed)
-    const int id = MinClockHeap::core_of(front);
+    const int id = pick_core(front);
     // All of this core's logged accesses order strictly before its next
     // instruction, so the merge drained its lane; folding makes
     // perf.cycles the true clock before the step issues real accesses.
@@ -337,7 +317,42 @@ u64 Cluster::reference_segment(u64 max_steps, u64 budget) {
     active_core_->step();
     ++executed;
   }
-  burst_stats_.reference_instructions += executed;
+  // Unless the steps ran out first, every lane is now drained and folded,
+  // and stays so: reference steps never log. True clocks are therefore
+  // the cores' perf.cycles, and a cached-key argmin
+  // over a contiguous array (only the stepped core's key refreshed) picks
+  // the same core frontier() would, without re-reading every core. The
+  // array is padded with never-picked keys to whole groups of 8, so the
+  // compiler unrolls the scan of each group: the 8-core paper cluster is
+  // one branch-predictable pass over a single cache line.
+  u64 keys[64];
+  const size_t cores = cores_.size();
+  const size_t padded = (cores + 7) & ~size_t{7};
+  for (size_t i = 0; i < padded; ++i) {
+    keys[i] = i >= cores || cores_[i]->halted()
+                  ? kInfKey
+                  : pick_key(cores_[i]->perf().cycles, static_cast<int>(i));
+  }
+  while (executed < n) {
+    u64 best = kInfKey;
+    size_t bi = 0;
+    for (size_t g = 0; g < padded; g += 8) {
+      for (size_t i = g; i < g + 8; ++i) {
+        if (keys[i] < best) {
+          best = keys[i];
+          bi = i;
+        }
+      }
+    }
+    if (best == kInfKey) break;  // all halted
+    sim::Core& c = *cores_[bi];
+    active_core_ = &c;
+    active_core_id_ = static_cast<int>(bi);
+    c.step();
+    ++executed;
+    keys[bi] = c.halted() ? kInfKey
+                          : pick_key(c.perf().cycles, static_cast<int>(bi));
+  }
   return executed;
 }
 
@@ -348,7 +363,7 @@ u64 Cluster::drive_burst(u64 target) {
   // (burst_horizon + overshoot) instructions (every instruction costs at
   // least one cycle), and closing the band afterwards costs at most the
   // same again, so stopping the epoch loop this many steps short of the
-  // target guarantees the tail reference segment reaches the exact target
+  // target guarantees the tail reference steps reach the exact target
   // index with every lane drained — the stopping state is bit-identical
   // to a reference run paused there.
   const u64 slack = 2 * n_cores * (delta + kBurstOvershoot);
@@ -369,14 +384,14 @@ u64 Cluster::drive_burst(u64 target) {
   while (executed + slack < target) {
     const u64 front = frontier();
     if (front == kInfKey) break;  // all halted
-    cycles_t horizon = MinClockHeap::clock_of(front) + delta;
+    cycles_t horizon = pick_clock(front) + delta;
     // Sample boundaries must be crossed on reference steps with every
     // lane advanced in exact global key order: a Sample diffs the
     // *shared* TCDM stats, so if any other core had already burst past
     // the boundary cycle, the window would see accesses the reference
     // scheduler orders after it. Clamp every core's horizon a margin
     // short of the earliest sampled deadline (fold_lane's tripwire
-    // guards the margin); the reference segment below then carries the
+    // guards the margin); the reference steps below then carry the
     // whole cluster across the boundary in reference order.
     for (size_t i = 0; i < n_cores; ++i) {
       const sim::Core& c = *cores_[i];
@@ -438,12 +453,17 @@ u64 Cluster::drive_burst(u64 target) {
     // A sampler-blocked core only advances on reference steps; a chunk of
     // them also guarantees forward progress if no core had burst room.
     if (any_skipped || executed == before) {
-      executed += reference_segment(n_cores * kRefChunk, target - executed);
+      const u64 ref = reference_steps(
+          std::min<u64>(n_cores * kRefChunk, target - executed));
+      executed += ref;
+      burst_stats_.reference_instructions += ref;
     }
   }
   // Close the band: the remaining steps run on the replay-aware reference
-  // scheduler, which drains every lane as the frontier passes it.
-  executed += reference_segment(~0ull, target - executed);
+  // loop, which drains every lane as the frontier passes it.
+  const u64 ref = reference_steps(target - executed);
+  executed += ref;
+  burst_stats_.reference_instructions += ref;
   if (lanes_pending_ != 0) {
     throw SimError("internal: burst band failed to close");
   }
@@ -455,83 +475,28 @@ u64 Cluster::drive_burst(u64 target) {
   return executed;
 }
 
-u64 Cluster::drive_reference(u64 target) {
-  // Small clusters: cached-key argmin over a contiguous array. The scan
-  // is branch-predictable and touches one cache line, which beats the
-  // heap's data-dependent sift until the core count grows well past
-  // hardware cluster sizes (measured on the paper deployment: the scan
-  // is ~25% faster at 8 cores). Keys pack (clock, core) exactly like the
-  // heap so the pick order is identical.
-  if (cores_.size() <= 16) {
-    u64 keys[16];
-    size_t live = 0;
-    for (size_t i = 0; i < cores_.size(); ++i) {
-      keys[i] = cores_[i]->halted()
-                    ? ~0ull
-                    : MinClockHeap::key(cores_[i]->perf().cycles,
-                                        static_cast<int>(i));
-      if (keys[i] != ~0ull) ++live;
-    }
-    u64 executed = 0;
-    while (executed < target && live != 0) {
-      u64 best = keys[0];
-      size_t bi = 0;
-      for (size_t i = 1; i < cores_.size(); ++i) {
-        if (keys[i] < best) {
-          best = keys[i];
-          bi = i;
-        }
-      }
-      sim::Core& c = *cores_[bi];
-      active_core_ = &c;
-      active_core_id_ = static_cast<int>(bi);
-      c.step();
-      ++executed;
-      if (c.halted()) {
-        keys[bi] = ~0ull;
-        --live;
-      } else {
-        keys[bi] = MinClockHeap::key(c.perf().cycles,
-                                     static_cast<int>(bi));
-      }
-    }
-    return executed;
-  }
-  // Large clusters: O(log N) pick via the min-heap. The key packs
-  // (local clock, core index), so the top is exactly the argmin
-  // step_once() computes — smallest clock, ties to the lowest index.
-  MinClockHeap heap;
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    if (cores_[i]->halted()) continue;
-    heap.push(MinClockHeap::key(cores_[i]->perf().cycles,
-                                static_cast<int>(i)));
-  }
+u64 Cluster::run_steps(u64 n) {
+  // The hook must come down on *every* exit path: a guest fault escaping
+  // a step would otherwise leave the arbiter hook (and its dangling
+  // active-core latch) installed on the shared memory.
+  begin_run();
   u64 executed = 0;
-  while (executed < target && !heap.empty()) {
-    const int id = MinClockHeap::core_of(heap.top());
-    sim::Core& c = *cores_[static_cast<size_t>(id)];
-    active_core_ = &c;
-    active_core_id_ = id;
-    c.step();
-    ++executed;
-    if (c.halted()) {
-      heap.pop_top();
+  try {
+    if (cfg_.scheduler == SchedulerMode::kBurst && burst_eligible()) {
+      executed = drive_burst(n);
     } else {
-      heap.update_top(MinClockHeap::key(c.perf().cycles, id));
+      if (cfg_.scheduler == SchedulerMode::kBurst) {
+        burst_stats_.fallback_runs += 1;
+      }
+      executed = reference_steps(n);
     }
+  } catch (...) {
+    end_run();
+    throw;
   }
+  end_run();
   return executed;
 }
-
-u64 Cluster::drive(u64 target) {
-  if (cfg_.scheduler == SchedulerMode::kBurst) {
-    if (burst_eligible()) return drive_burst(target);
-    burst_stats_.fallback_runs += 1;
-  }
-  return drive_reference(target);
-}
-
-u64 Cluster::run_steps(u64 n) { return drive(n); }
 
 ClusterStats Cluster::stats_since(u64 base_conflicts,
                                   u64 base_accesses) const {
@@ -574,30 +539,12 @@ void Cluster::restore_state(const ClusterState& s) {
 ClusterStats Cluster::run(u64 max_total_instructions) {
   const u64 base_conflicts = arbiter_.conflicts();
   const u64 base_accesses = arbiter_.accesses();
-
-  begin_run();
-  // The hook must come down on *every* exit path: a guest fault escaping
-  // a step would otherwise leave the arbiter hook (and its dangling
-  // active-core latch) installed on the shared memory.
-  u64 executed = 0;
-  try {
-    // Asking the driver for budget+1 steps reproduces the historical
-    // `while (step_once()) if (++executed > max) throw;` semantics
-    // exactly: a run needing more than the budget executes precisely
-    // max+1 instructions — reaching the same state the reference loop
-    // trapped in — and then throws. Under burst scheduling drive()
-    // guarantees that stopping state is bit-identical to the reference
-    // scheduler paused at the same index.
-    executed = drive(max_total_instructions + 1);
-    if (executed > max_total_instructions) {
-      throw SimError("cluster instruction budget exceeded");
-    }
-  } catch (...) {
-    end_run();
-    throw;
+  // Asking for budget+1 steps makes a run that needs more than the budget
+  // execute precisely max+1 instructions — the reference state at that
+  // index, under either scheduler — and then throw.
+  if (run_steps(max_total_instructions + 1) > max_total_instructions) {
+    throw SimError("cluster instruction budget exceeded");
   }
-  end_run();
-
   for (const auto& c : cores_) {
     if (c->halt_reason() != sim::HaltReason::kEcall) {
       throw SimError("a cluster core halted abnormally");

@@ -66,7 +66,7 @@ struct ClusterBurstStats {
   u64 epochs = 0;             // burst rounds completed
   u64 bursts = 0;             // per-core run_burst() calls
   u64 burst_instructions = 0; // instructions retired inside bursts
-  u64 reference_instructions = 0;  // retired on reference segments
+  u64 reference_instructions = 0;  // retired on reference steps
   u64 replayed_accesses = 0;  // accesses replayed through the merge
   u64 deferred_stall_cycles = 0;  // arbiter stalls assigned by the merge
   u64 fallback_runs = 0;      // whole runs demoted to reference scheduling
@@ -180,69 +180,16 @@ struct ClusterState {
   BankArbiterState arbiter;
 };
 
-/// Binary min-heap of (clock, core) pairs ordered lexicographically —
-/// smallest clock first, ties broken by the smaller core index, which is
-/// exactly the reference scheduler's first-lowest-index argmin. Replaces
-/// the O(N) per-step scan in step_once() with O(log N) sift operations.
-/// Keys are packed as (clock << 6) | core so the comparison is a single
-/// u64 compare; clocks stay far below 2^58 under the 2e9-instruction
-/// budget.
-class MinClockHeap {
- public:
-  static u64 key(cycles_t clock, int core) {
-    return (clock << 6) | static_cast<u64>(core);
-  }
-  static cycles_t clock_of(u64 k) { return k >> 6; }
-  static int core_of(u64 k) { return static_cast<int>(k & 63); }
-
-  void clear() { heap_.clear(); }
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
-  u64 top() const { return heap_[0]; }
-
-  void push(u64 k) {
-    heap_.push_back(k);
-    size_t i = heap_.size() - 1;
-    while (i > 0) {
-      const size_t p = (i - 1) / 2;
-      if (heap_[p] <= heap_[i]) break;
-      std::swap(heap_[p], heap_[i]);
-      i = p;
-    }
-  }
-
-  void pop_top() {
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down();
-  }
-
-  /// Replace the top element's clock (its core just stepped and advanced)
-  /// and restore the heap property. The common per-step operation: one
-  /// sift-down instead of pop+push.
-  void update_top(u64 k) {
-    heap_[0] = k;
-    sift_down();
-  }
-
- private:
-  void sift_down() {
-    size_t i = 0;
-    const size_t n = heap_.size();
-    while (true) {
-      const size_t l = 2 * i + 1;
-      const size_t r = l + 1;
-      size_t m = i;
-      if (l < n && heap_[l] < heap_[m]) m = l;
-      if (r < n && heap_[r] < heap_[m]) m = r;
-      if (m == i) return;
-      std::swap(heap_[i], heap_[m]);
-      i = m;
-    }
-  }
-
-  std::vector<u64> heap_;
-};
+/// Scheduler pick key: a (local clock, core index) pair packed as
+/// (clock << 6) | core, so one u64 compare orders lexicographically —
+/// smallest clock first, ties to the lower core index, which is exactly
+/// the reference scheduler's pick rule. Clocks stay far below 2^58 under
+/// the 2e9-instruction budget.
+inline u64 pick_key(cycles_t clock, int core) {
+  return (clock << 6) | static_cast<u64>(core);
+}
+inline cycles_t pick_clock(u64 key) { return key >> 6; }
+inline int pick_core(u64 key) { return static_cast<int>(key & 63); }
 
 class Cluster {
  public:
@@ -258,13 +205,6 @@ class Cluster {
   /// Load one program per core (programs may live at distinct code bases
   /// in the shared memory) and reset every core to its entry point.
   void load(const std::vector<xasm::Program>& programs);
-
-  /// Install a pre-run gate on every core (see sim::Core::PreRunGate);
-  /// load() then verifies each per-core program before any of them runs.
-  /// Call before load().
-  void set_pre_run_gate(const sim::Core::PreRunGate& gate) {
-    for (auto& c : cores_) c->set_pre_run_gate(gate);
-  }
 
   /// Whole-cluster gate over the full program set, called by load() before
   /// anything is written to memory. Unlike the per-core pre-run gate this
@@ -284,7 +224,7 @@ class Cluster {
   /// conflict, so summing `conflict_stalls != 0` reproduces
   /// BankArbiter::conflicts() exactly — xtel's bank heatmap relies on
   /// this). xrace's shadow-memory phase plugs in here. Call before
-  /// run()/begin_run().
+  /// run()/run_steps().
   using AccessObserver = std::function<void(int core, cycles_t cycle,
                                             addr_t pc, addr_t addr,
                                             unsigned size, bool is_store,
@@ -293,50 +233,28 @@ class Cluster {
     observer_ = std::move(obs);
   }
 
-  /// Run event-driven until every core executed its ecall. Throws on any
-  /// abnormal halt or if the instruction budget is exceeded. The arbiter
-  /// access hook is uninstalled on every exit path (including guest
-  /// faults), and a Cluster instance is fully re-runnable: load() again and
-  /// run() again, with per-run counters starting fresh.
-  ///
-  /// Under SchedulerMode::kBurst the budget stays exact: the run throws
-  /// at precisely the same total retired-instruction index as the
-  /// reference scheduler would, and the state at the trap matches the
-  /// reference state at that index.
+  /// Run until every core executed its ecall: run_steps(budget + 1) plus
+  /// the budget and halt checks. Throws on any abnormal halt; a run
+  /// needing more than the budget executes exactly budget + 1
+  /// instructions and then throws, and under either scheduler the state at
+  /// the trap is the reference state at that index. A Cluster instance is
+  /// fully re-runnable: load() again and run() again, with per-run
+  /// counters starting fresh.
   ClusterStats run(u64 max_total_instructions = 2'000'000'000);
 
   /// Execute exactly `n` scheduler steps (total instructions across all
   /// cores, in reference interleaving order), or fewer if every core
   /// halts first. Returns the number actually executed. Under burst
   /// scheduling the stopping state is bit-identical to a reference run
-  /// paused at the same index — mid-burst checkpoints are exact. Must be
-  /// bracketed by begin_run()/end_run() like step_once(); guest faults
-  /// propagate with the hook still installed (call end_run() to clean
-  /// up), matching the step_once() contract.
+  /// paused at the same index — mid-burst checkpoints are exact. Installs
+  /// the arbiter access hook for the call and removes it on every exit,
+  /// guest faults included, so callers can pause, snapshot, restore and
+  /// resume between calls with nothing to bracket.
   u64 run_steps(u64 n);
 
-  /// Select the scheduling policy for subsequent run()/run_steps() calls.
-  /// Burst scheduling silently demotes to reference when the loaded
-  /// programs read the cycle CSR, a core has a trace hook, or memory has
-  /// a contention injector (see ClusterBurstStats::fallback_runs).
-  void set_scheduler(SchedulerMode m) { cfg_.scheduler = m; }
   SchedulerMode scheduler() const { return cfg_.scheduler; }
 
   const ClusterBurstStats& burst_stats() const { return burst_stats_; }
-
-  // ---- Incremental stepping (checkpointing, fault injection) ----
-  // run() is begin_run(); while (step_once()) ...; end_run(); plus budget
-  // and halt-reason policy. External drivers use the pieces directly to
-  // pause at arbitrary points, snapshot, restore and resume.
-
-  /// Install the bank-arbiter access hook. Idempotent.
-  void begin_run();
-  /// Uninstall the hook and clear the active-core latch. Idempotent.
-  void end_run();
-  /// Schedule and execute one instruction on the core with the smallest
-  /// local cycle count. Returns false once every core has halted. Only
-  /// valid between begin_run() and end_run().
-  bool step_once();
 
   /// Aggregate per-core cycle stats plus arbiter deltas against the given
   /// baselines (pass 0,0 for cumulative totals). Unlike run(), does not
@@ -392,11 +310,19 @@ class Cluster {
     u64 pending_stalls() const { return assigned - folded; }
   };
 
-  // ---- Burst engine (cluster.cpp) ----
-  u64 drive(u64 target);
-  u64 drive_reference(u64 target);
+  /// Install the bank-arbiter access hook (run_steps() brackets every
+  /// call with these two). Idempotent.
+  void begin_run();
+  /// Uninstall the hook and clear the active-core latch. Idempotent.
+  void end_run();
+
+  // ---- Schedulers (cluster.cpp) ----
   u64 drive_burst(u64 target);
-  u64 reference_segment(u64 max_steps, u64 budget);
+  /// The one loop that interleaves cores one instruction at a time: up to
+  /// `n` steps, always on the live core with the smallest (true clock,
+  /// index), replaying still-pending burst accesses ahead of each step.
+  /// SchedulerMode::kReference runs on it alone.
+  u64 reference_steps(u64 n);
   /// Replay the logged accesses ordered before the frontier through the
   /// arbiter; returns how many it popped.
   u64 merge_epoch();
@@ -412,8 +338,8 @@ class Cluster {
   std::vector<std::unique_ptr<sim::Core>> cores_;
   BankArbiter arbiter_;
 
-  // Core currently stepping inside run(). One persistent access hook reads
-  // these instead of run() rebuilding a std::function closure every step.
+  // Core currently stepping inside run_steps(). One access hook per call
+  // reads these instead of a std::function closure rebuilt every step.
   sim::Core* active_core_ = nullptr;
   int active_core_id_ = -1;
 
@@ -424,8 +350,8 @@ class Cluster {
   std::vector<BurstLane> lanes_;
   u64 lanes_pending_ = 0;       // logged-but-unreplayed entries, all lanes
   // While true, the shared access hook logs instead of arbitrating (burst
-  // phase 1); reference scheduling and reference segments run with it
-  // false and arbitrate at access time.
+  // phase 1); reference steps run with it false and arbitrate at access
+  // time.
   bool logging_ = false;
   bool programs_use_cycle_csr_ = false;  // set by load()'s opcode scan
   ClusterBurstStats burst_stats_;

@@ -110,8 +110,11 @@ void Core::reset(addr_t pc, addr_t code_end) {
   hwl_count_.fill(0);
   hwl_active_ = false;
   last_load_rd_ = 0;
+  last_load_data_ = 0;
   halt_ = HaltReason::kRunning;
+  mscratch_ = 0;
   mpc_ = 0;
+  dotp_.reset_latches();
   icache_.clear();
   icache_valid_.clear();
   icache_base_ = 0;
@@ -345,6 +348,7 @@ void Core::attr_switch() {
 void Core::reset_perf() {
   if (attr_) attr_bank();
   perf_ = PerfCounters{};
+  dotp_.reset_activity();
   if (attr_) attr_->mark = region_snapshot(perf_);
 }
 

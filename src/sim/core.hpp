@@ -238,6 +238,9 @@ class Core {
   /// loop never resizes; code below `pc` still runs (the cache rebases
   /// down on first fetch). With `code_end == 0` the cache is based at 0.
   /// Programs are entered at their base (xasm::Program::entry()).
+  /// Together with reset_perf() it leaves a core that counts exactly like
+  /// a freshly constructed one: the LSU data latch, mscratch and the dot
+  /// unit's operand latches are cleared too.
   void reset(addr_t pc, addr_t code_end = 0);
 
   u32 reg(unsigned r) const { return regs_[r & 31]; }
@@ -278,6 +281,7 @@ class Core {
   u64 run_burst(cycles_t horizon, u64 max_instructions);
 
   const PerfCounters& perf() const { return perf_; }
+  /// Zero the perf counters and the dot unit's activity counters.
   void reset_perf();
 
   const CoreConfig& config() const { return cfg_; }

@@ -97,6 +97,11 @@ class DotpUnit {
 
   const DotpActivity& activity() const { return activity_; }
   void reset_activity() { activity_ = DotpActivity{}; }
+  /// Zero the operand registers, as at construction (Core::reset()).
+  void reset_latches() {
+    last_a_.fill(0);
+    last_b_.fill(0);
+  }
 
   // Superblock burst support: the fused loop keeps one region's operand
   // latches in host registers for a whole burst and batch-applies the

@@ -414,17 +414,17 @@ void expect_cluster_identical(const ClusterFinal& a, const ClusterFinal& b) {
   EXPECT_EQ(a.stats.data_accesses, b.stats.data_accesses);
 }
 
-/// Drive a restored cluster to completion through the stepping API.
+/// Drive a (possibly restored) cluster to completion through run_steps,
+/// under the cluster's own scheduler.
 void finish_cluster(cluster::Cluster& cl) {
-  cl.begin_run();
-  while (cl.step_once()) {
+  constexpr u64 kChunk = 1u << 20;
+  while (cl.run_steps(kChunk) == kChunk) {
   }
-  cl.end_run();
 }
 
 TEST(CkptDiff, ClusterMidRunRestoreIntoFreshInstance) {
-  // The per-instruction stepping below is the reference scheduler; the
-  // uninterrupted baseline runs it too.
+  // Per-instruction reference scheduling throughout, uninterrupted
+  // baseline included.
   cluster::ClusterConfig ccfg;
   ccfg.num_cores = 4;
   ccfg.scheduler = cluster::SchedulerMode::kReference;
@@ -440,12 +440,10 @@ TEST(CkptDiff, ClusterMidRunRestoreIntoFreshInstance) {
   // are live.
   cluster::Cluster paused(ccfg);
   paused.load(progs);
-  paused.begin_run();
-  for (int i = 0; i < 300; ++i) ASSERT_TRUE(paused.step_once());
+  ASSERT_EQ(paused.run_steps(300), 300u);
   const ckpt::Snapshot snap =
       ckpt::deserialize(ckpt::serialize(ckpt::capture(paused)));
   ASSERT_TRUE(snap.is_cluster());
-  paused.end_run();
 
   // Restore into a brand-new cluster that never loaded any program: the
   // snapshot alone must carry code, data, core and arbiter state.
@@ -453,17 +451,6 @@ TEST(CkptDiff, ClusterMidRunRestoreIntoFreshInstance) {
   ckpt::apply(snap, fresh);
   finish_cluster(fresh);
   expect_cluster_identical(base, cluster_final(fresh));
-}
-
-/// Drive a (possibly restored) cluster to completion through run_steps —
-/// under SchedulerMode::kBurst this resumes burst scheduling, unlike the
-/// per-instruction step_once loop.
-void finish_cluster_steps(cluster::Cluster& cl) {
-  constexpr u64 kChunk = 1u << 20;
-  cl.begin_run();
-  while (cl.run_steps(kChunk) == kChunk) {
-  }
-  cl.end_run();
 }
 
 u64 cluster_instructions(const cluster::Cluster& cl) {
@@ -499,7 +486,6 @@ TEST(CkptDiff, ClusterMidBurstSnapshotsRestoreBitIdentical) {
   for (const u64 snap_at : {total / 5 + 1, total / 2 + 3, total - 7}) {
     cluster::Cluster paused(burst_cfg);
     paused.load(progs);
-    paused.begin_run();
     ASSERT_EQ(paused.run_steps(snap_at), snap_at);
     ASSERT_EQ(cluster_instructions(paused), snap_at)
         << "burst pause overshot the requested index";
@@ -508,20 +494,18 @@ TEST(CkptDiff, ClusterMidBurstSnapshotsRestoreBitIdentical) {
     ASSERT_TRUE(snap.is_cluster());
 
     // Finish the paused instance under bursts.
-    while (paused.run_steps(1u << 20) == (1u << 20)) {
-    }
-    paused.end_run();
+    finish_cluster(paused);
     expect_cluster_identical(base, cluster_final(paused));
 
     // Rewind the same live, warmed-up instance and replay the tail.
     ckpt::apply(snap, paused);
-    finish_cluster_steps(paused);
+    finish_cluster(paused);
     expect_cluster_identical(base, cluster_final(paused));
 
     // Resume into a fresh burst-scheduled cluster.
     cluster::Cluster fresh(burst_cfg);
     ckpt::apply(snap, fresh);
-    finish_cluster_steps(fresh);
+    finish_cluster(fresh);
     expect_cluster_identical(base, cluster_final(fresh));
 
     // Cross-scheduler: an image taken mid-burst carries no burst-engine
@@ -570,38 +554,34 @@ TEST(CkptDiff, ClusterMidBurstSnapshotsWithSuperblockConv) {
 
   cluster::Cluster paused(burst_cfg);
   load_cluster(paused);
-  paused.begin_run();
   const u64 snap_at = total / 2 + 5;  // deep inside the matmul hot loops
   ASSERT_EQ(paused.run_steps(snap_at), snap_at);
   ASSERT_EQ(cluster_instructions(paused), snap_at);
   const ckpt::Snapshot snap =
       ckpt::deserialize(ckpt::serialize(ckpt::capture(paused)));
-  paused.end_run();
 
   cluster::Cluster fresh(burst_cfg);
   ckpt::apply(snap, fresh);
-  finish_cluster_steps(fresh);
+  finish_cluster(fresh);
   expect_cluster_identical(base, cluster_final(fresh));
 
   ckpt::apply(snap, paused);
-  finish_cluster_steps(paused);
+  finish_cluster(paused);
   expect_cluster_identical(base, cluster_final(paused));
 }
 
 TEST(CkptDiff, ClusterMidRunRestoreIntoLiveInstance) {
   cluster::ClusterConfig ccfg;
   ccfg.num_cores = 2;
+  ccfg.scheduler = cluster::SchedulerMode::kReference;
   const auto progs = cluster_programs(2);
 
   cluster::Cluster cl(ccfg);
   cl.load(progs);
-  cl.begin_run();
-  for (int i = 0; i < 120; ++i) ASSERT_TRUE(cl.step_once());
+  ASSERT_EQ(cl.run_steps(120), 120u);
   const ckpt::Snapshot snap =
       ckpt::deserialize(ckpt::serialize(ckpt::capture(cl)));
-  while (cl.step_once()) {
-  }
-  cl.end_run();
+  finish_cluster(cl);
   const ClusterFinal base = cluster_final(cl);
 
   // Rewind the *same* (now halted) instance back to the snapshot and

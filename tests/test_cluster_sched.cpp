@@ -4,15 +4,16 @@
 // core, the shared MemStats, the arbiter's conflict/access totals, the
 // final memory image, the observer event sequence, and sampled telemetry —
 // across core counts, both paper conv workloads, and both dispatch modes.
-// Also covers the MinClockHeap pick order, the exact instruction-budget
-// trap, and the automatic demotion to reference scheduling.
+// Also covers the scheduler's pick-key packing, a 24-core cluster, the
+// exact instruction-budget trap, the automatic demotion to reference
+// scheduling, and a reloaded cluster counting like a fresh one.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "ckpt/snapshot.hpp"
 #include "cluster/parallel_conv.hpp"
-#include "common/rng.hpp"
 #include "obs/sampler.hpp"
 #include "sim_test_util.hpp"
 #include "xasm/assembler.hpp"
@@ -25,57 +26,16 @@ using kernels::ConvLayerData;
 using kernels::ConvVariant;
 
 // ---------------------------------------------------------------------------
-// MinClockHeap: the O(log N) scheduler pick must reproduce the reference
-// argmin (smallest clock, ties to the lowest core index) exactly.
+// Pick keys: one u64 compare must order (clock, core) lexicographically —
+// smallest clock first, ties to the lowest core index.
 
 TEST(MinClockHeap, KeyPackingRoundTrips) {
-  const u64 k = MinClockHeap::key(0x123456789abcull, 37);
-  EXPECT_EQ(MinClockHeap::clock_of(k), 0x123456789abcull);
-  EXPECT_EQ(MinClockHeap::core_of(k), 37);
+  const u64 k = pick_key(0x123456789abcull, 37);
+  EXPECT_EQ(pick_clock(k), 0x123456789abcull);
+  EXPECT_EQ(pick_core(k), 37);
   // Key order is lexicographic (clock, core): same clock, lower core wins.
-  EXPECT_LT(MinClockHeap::key(100, 3), MinClockHeap::key(100, 4));
-  EXPECT_LT(MinClockHeap::key(100, 63), MinClockHeap::key(101, 0));
-}
-
-TEST(MinClockHeap, MatchesArgminThroughSchedulerWorkload) {
-  // Drive the heap through the scheduler's exact usage pattern —
-  // update_top after most picks, pop_top on halt — against a naive
-  // first-lowest-index argmin over the same clocks. Small random clock
-  // increments keep ties frequent, which is where the core-index
-  // tie-break matters.
-  for (const int n : {2, 8, 40}) {
-    Rng rng(0x5eedu + static_cast<u64>(n));
-    std::vector<cycles_t> clocks(static_cast<size_t>(n), 0);
-    std::vector<bool> halted(static_cast<size_t>(n), false);
-    MinClockHeap heap;
-    for (int i = 0; i < n; ++i) heap.push(MinClockHeap::key(0, i));
-
-    for (int step = 0; step < 20000 && !heap.empty(); ++step) {
-      int ref_pick = -1;
-      for (int i = 0; i < n; ++i) {
-        if (halted[static_cast<size_t>(i)]) continue;
-        if (ref_pick < 0 ||
-            clocks[static_cast<size_t>(i)] <
-                clocks[static_cast<size_t>(ref_pick)]) {
-          ref_pick = i;
-        }
-      }
-      ASSERT_EQ(MinClockHeap::core_of(heap.top()), ref_pick) << step;
-      ASSERT_EQ(MinClockHeap::clock_of(heap.top()),
-                clocks[static_cast<size_t>(ref_pick)])
-          << step;
-
-      if (rng.uniform(0, 199) == 0) {
-        halted[static_cast<size_t>(ref_pick)] = true;
-        heap.pop_top();
-      } else {
-        clocks[static_cast<size_t>(ref_pick)] +=
-            static_cast<cycles_t>(rng.uniform(0, 3));
-        heap.update_top(MinClockHeap::key(
-            clocks[static_cast<size_t>(ref_pick)], ref_pick));
-      }
-    }
-  }
+  EXPECT_LT(pick_key(100, 3), pick_key(100, 4));
+  EXPECT_LT(pick_key(100, 63), pick_key(101, 0));
 }
 
 // ---------------------------------------------------------------------------
@@ -91,6 +51,7 @@ struct EventHash {
 
 struct RunCapture {
   std::vector<sim::PerfCounters> perf;
+  std::vector<sim::DotpActivity> dotp;
   mem::MemStats mem{};
   cluster::ClusterStats stats;
   std::vector<u8> memory;
@@ -103,6 +64,7 @@ void capture_cluster(Cluster& cl, const EventHash& eh, u64 events,
                      RunCapture& out) {
   for (int c = 0; c < cl.num_cores(); ++c) {
     out.perf.push_back(cl.core(c).perf());
+    out.dotp.push_back(cl.core(c).dotp_unit().activity());
   }
   out.mem = cl.memory().stats();
   out.stats = cl.stats_since(0, 0);
@@ -139,6 +101,10 @@ void expect_captures_identical(const RunCapture& ref, const RunCapture& burst,
         << ref.perf[c].cycles << " vs " << burst.perf[c].cycles
         << ", mem stalls " << ref.perf[c].mem_stall_cycles << " vs "
         << burst.perf[c].mem_stall_cycles << ")";
+    EXPECT_EQ(ref.dotp[c].operand_toggles, burst.dotp[c].operand_toggles)
+        << what << ": dot-unit toggles of core " << c << " diverged";
+    EXPECT_EQ(ref.dotp[c].ops, burst.dotp[c].ops)
+        << what << ": dot-unit ops of core " << c << " diverged";
   }
   EXPECT_EQ(std::memcmp(&ref.mem, &burst.mem, sizeof(mem::MemStats)), 0)
       << what << ": shared MemStats diverged";
@@ -384,9 +350,7 @@ TEST(BurstSchedDiff, RunStepsPausesMidBurstExactly) {
     cfg.burst_horizon = 128;
     Cluster cl(cfg);
     cl.load(progs);
-    cl.begin_run();
     EXPECT_EQ(cl.run_steps(steps), steps);
-    cl.end_run();
     RunCapture out;
     const EventHash eh;
     capture_cluster(cl, eh, 0, out);
@@ -400,6 +364,84 @@ TEST(BurstSchedDiff, RunStepsPausesMidBurstExactly) {
     EXPECT_EQ(total_instructions(burst), steps);
     expect_captures_identical(ref, burst, "paused state");
     if (::testing::Test::HasFailure()) FAIL() << "steps " << steps;
+  }
+}
+
+TEST(BurstSchedDiff, ReferenceRunsLeaveBurstStatsZero) {
+  // The burst scheduler counts the reference steps it takes at its own call
+  // sites; a kReference run drives the same stepping loop and must report
+  // no burst activity at all.
+  ClusterConfig cfg;
+  cfg.scheduler = SchedulerMode::kReference;
+  const RunCapture ref = run_programs(same_bank_programs(4, 100), cfg);
+  ASSERT_GT(total_instructions(ref), 0u);
+  const ClusterBurstStats& b = ref.burst;
+  EXPECT_EQ(b.epochs, 0u);
+  EXPECT_EQ(b.bursts, 0u);
+  EXPECT_EQ(b.burst_instructions, 0u);
+  EXPECT_EQ(b.reference_instructions, 0u);
+  EXPECT_EQ(b.replayed_accesses, 0u);
+  EXPECT_EQ(b.deferred_stall_cycles, 0u);
+  EXPECT_EQ(b.fallback_runs, 0u);
+  EXPECT_EQ(b.peak_lane_entries, 0u);
+  EXPECT_EQ(b.host_burst_seconds, 0.0);
+  EXPECT_EQ(b.host_merge_seconds, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// 24 cores: past every PULP cluster size, with 48 TCDM banks — not a power
+// of two, so the arbiter selects banks by modulo. The same-bank programs
+// place core c's code at c x 0x1000 and share one hot word, so conflicts
+// are guaranteed.
+
+TEST(BurstSchedDiff, TwentyFourCoresMatchReference) {
+  const auto progs = same_bank_programs(24, 120);
+  ClusterConfig ref_cfg;
+  ref_cfg.scheduler = SchedulerMode::kReference;
+  const RunCapture ref = run_programs(progs, ref_cfg);
+  ASSERT_GT(ref.stats.bank_conflicts, 100u);
+  const u64 total = total_instructions(ref);
+
+  for (const u32 horizon : {64u, 1536u}) {
+    ClusterConfig burst_cfg;
+    burst_cfg.burst_horizon = horizon;
+    const RunCapture burst = run_programs(progs, burst_cfg);
+    expect_captures_identical(ref, burst, "24 cores");
+    EXPECT_EQ(burst.burst.fallback_runs, 0u);
+    EXPECT_GT(burst.burst.deferred_stall_cycles, 0u);
+    if (::testing::Test::HasFailure()) FAIL() << "horizon " << horizon;
+  }
+
+  // Pause a burst run mid-way, snapshot it, and resume the image in a fresh
+  // cluster under either scheduler. The observer hash carries across the
+  // cut, so prefix plus tail must reproduce the uninterrupted stream.
+  for (const SchedulerMode resume :
+       {SchedulerMode::kReference, SchedulerMode::kBurst}) {
+    ClusterConfig cfg;
+    cfg.num_cores = 24;
+    cfg.burst_horizon = 64;
+    EventHash eh;
+    u64 events = 0;
+    Cluster paused(cfg);
+    paused.set_access_observer(make_hashing_observer(eh, events));
+    paused.load(progs);
+    const u64 snap_at = total / 2 + 3;
+    ASSERT_EQ(paused.run_steps(snap_at), snap_at);
+    const ckpt::Snapshot snap =
+        ckpt::deserialize(ckpt::serialize(ckpt::capture(paused)));
+
+    cfg.scheduler = resume;
+    Cluster fresh(cfg);
+    fresh.set_access_observer(make_hashing_observer(eh, events));
+    ckpt::apply(snap, fresh);
+    fresh.run();
+    RunCapture out;
+    capture_cluster(fresh, eh, events, out);
+    expect_captures_identical(ref, out, "24 cores resumed from a snapshot");
+    if (::testing::Test::HasFailure()) {
+      FAIL() << (resume == SchedulerMode::kBurst ? "burst" : "reference")
+             << " resume";
+    }
   }
 }
 
@@ -513,6 +555,53 @@ TEST(BurstSchedDiff, CycleCsrProgramsDemoteToReference) {
   expect_captures_identical(ref, demoted, "demoted run");
   EXPECT_GT(demoted.burst.fallback_runs, 0u);
   EXPECT_EQ(demoted.burst.bursts, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Reload: load() starts a fresh run, so running the same programs a second
+// time on one instance must count exactly like a fresh cluster — no LSU
+// data latch, dot-unit operand latch or dot activity carried over.
+
+TEST(ClusterReload, CountsLikeFreshCluster) {
+  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(4);
+  spec.in_h = spec.in_w = 6;
+  spec.in_c = 16;
+  spec.out_c = 8;
+  const auto data = ConvLayerData::random(spec, 7);
+  const auto ks =
+      make_parallel_conv_kernels(spec, ConvVariant::kXpulpNN_HwQ, 4);
+  std::vector<xasm::Program> progs;
+  for (const auto& k : ks) progs.push_back(k.program);
+
+  const auto run_once = [&](Cluster& cl) {
+    kernels::load_conv_data(data, ks.front().layout, cl.memory());
+    cl.load(progs);
+    const ClusterStats run_stats = cl.run();
+    RunCapture out;
+    const EventHash eh;
+    capture_cluster(cl, eh, 0, out);
+    // The arbiter's totals are cumulative across runs; compare the run's
+    // own deltas.
+    out.stats = run_stats;
+    return out;
+  };
+
+  for (const SchedulerMode mode :
+       {SchedulerMode::kReference, SchedulerMode::kBurst}) {
+    ClusterConfig cfg;
+    cfg.num_cores = 4;
+    cfg.scheduler = mode;
+    Cluster reused(cfg);
+    run_once(reused);
+    const RunCapture rerun = run_once(reused);
+    Cluster fresh(cfg);
+    const RunCapture first = run_once(fresh);
+    ASSERT_GT(first.stats.data_accesses, 0u);
+    expect_captures_identical(first, rerun, "reloaded cluster");
+    if (::testing::Test::HasFailure()) {
+      FAIL() << (mode == SchedulerMode::kBurst ? "burst" : "reference");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -284,5 +284,77 @@ TEST(XpulpV2, BaselineCoreRejectsNothingFromV2) {
   EXPECT_EQ(res.regs[r::a2], 3u);
 }
 
+// A core reset to a new program (and its counters zeroed) must count
+// exactly like a freshly constructed core: program A leaves a load word in
+// the LSU data latch, a value in mscratch and operands in the dot unit's
+// 8- and 4-bit region latches; program B's toggles, dot activity and
+// mscratch read must not see any of it.
+TEST(CoreReset, CountsLikeFreshCore) {
+  xasm::Assembler pa(0);
+  pa.li(r::s0, 0x2000);
+  pa.li(r::t0, 0x12345678);
+  pa.sw(r::t0, r::s0, 0);
+  pa.lw(r::a0, r::s0, 0);
+  pa.li(r::t0, 0xdeadbeef);
+  pa.csrrw(static_cast<u8>(r::zero), 0x340, static_cast<u8>(r::t0));
+  pa.li(r::t1, 0x7f7f7f7f);
+  pa.li(r::t2, 0x81818181);
+  pa.pv_sdotsp(isa::SimdFmt::kB, r::a1, r::t1, r::t2);
+  pa.pv_sdotsp(isa::SimdFmt::kN, r::a2, r::t1, r::t2);
+  pa.ecall();
+  const xasm::Program prog_a = pa.finish();
+
+  xasm::Assembler pb(0x1000);
+  pb.csrrs(static_cast<u8>(r::a0), 0x340, static_cast<u8>(r::zero));
+  pb.li(r::s0, 0x2100);
+  pb.sw(r::a0, r::s0, 0);
+  pb.lw(r::a1, r::s0, 0);
+  pb.li(r::t1, 0x01020304);
+  pb.li(r::t2, 0x05060708);
+  pb.pv_sdotsp(isa::SimdFmt::kB, r::a2, r::t1, r::t2);
+  pb.pv_sdotsp(isa::SimdFmt::kN, r::a3, r::t1, r::t2);
+  pb.ecall();
+  const xasm::Program prog_b = pb.finish();
+
+  const auto reset_to = [](sim::Core& core, const xasm::Program& p) {
+    core.reset(p.entry(), p.base() + p.size_bytes());
+  };
+  for (const bool reference : {true, false}) {
+    sim::CoreConfig cfg = sim::CoreConfig::extended();
+    cfg.reference_dispatch = reference;
+
+    mem::Memory mem;
+    prog_a.load(mem);
+    prog_b.load(mem);
+    sim::Core reused(mem, cfg);
+    reset_to(reused, prog_a);
+    ASSERT_EQ(reused.run(), sim::HaltReason::kEcall);
+    ASSERT_GT(reused.dotp_unit().activity().ops[1], 0u);
+    reset_to(reused, prog_b);
+    reused.reset_perf();
+    ASSERT_EQ(reused.run(), sim::HaltReason::kEcall);
+
+    mem::Memory fresh_mem;
+    prog_b.load(fresh_mem);
+    sim::Core fresh(fresh_mem, cfg);
+    reset_to(fresh, prog_b);
+    ASSERT_EQ(fresh.run(), sim::HaltReason::kEcall);
+
+    EXPECT_EQ(reused.perf(), fresh.perf())
+        << "lsu_data_toggles " << reused.perf().lsu_data_toggles << " vs "
+        << fresh.perf().lsu_data_toggles;
+    const sim::DotpActivity& ra = reused.dotp_unit().activity();
+    const sim::DotpActivity& fa = fresh.dotp_unit().activity();
+    EXPECT_EQ(ra.operand_toggles, fa.operand_toggles);
+    EXPECT_EQ(ra.ops, fa.ops);
+    for (unsigned i = 0; i < 32; ++i) {
+      EXPECT_EQ(reused.reg(i), fresh.reg(i)) << "x" << i;
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << (reference ? "reference" : "fast") << " dispatch";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xpulp
