@@ -1,9 +1,12 @@
 // Host-throughput benchmark of the interpreter itself: simulated MIPS
 // (million instructions per host second) for the paper's convolution layer,
 // comparing the legacy switch-on-mnemonic reference interpreter against the
-// predecoded handler-table fast path. Both modes are cycle-identical by
-// construction (see test_dispatch_diff); this bench quantifies the host
-// speed gained by moving classification work to decode time.
+// predecoded handler-table fast path and the superblock engine. All modes
+// are cycle-identical by construction (see test_dispatch_diff); this bench
+// quantifies the host speed each one gains. One row per dot format the
+// superblock macro-op serves: the paper rows (8b, hwq 4-bit) and the
+// sub-byte rows (hwq 2-bit, mixed 8x4 / 8x2 / 4x2), each with its fused
+// and macro-op instruction shares.
 //
 // Emits BENCH_throughput.json (obs::Registry JSON) next to the binary's
 // working directory.
@@ -32,7 +35,14 @@ namespace {
 struct Workload {
   std::string platform;
   std::string variant;
+  /// Row name: the variant, plus the operand format where one variant
+  /// serves several rows (hwq 2-bit, mixed 8x4 / 8x2 / 4x2).
+  std::string name;
   unsigned bits = 0;
+  /// Paper rows (8b, hwq 4-bit) feed min_superblock_speedup and
+  /// --min-speedup; the sub-byte rows (hwq 2-bit, mixed) feed
+  /// min_subbyte_superblock_speedup and --min-subbyte-speedup.
+  bool paper = true;
   kernels::ConvKernel kernel;
   mem::Memory pristine;  // loaded program + layer data, untouched by runs
   sim::CoreConfig cfg;
@@ -48,13 +58,27 @@ struct Measurement {
   }
 };
 
-Workload make_workload(unsigned bits, ConvVariant v, sim::CoreConfig cfg) {
-  const auto data =
-      kernels::ConvLayerData::random(qnn::ConvSpec::paper_layer(bits), kSeed);
+/// The paper layer at `bits` under `v`; `w_bits` != 0 makes it a mixed
+/// layer (8-bit outputs, as in bench_mixed_precision) with that weight
+/// width.
+Workload make_workload(unsigned bits, ConvVariant v, sim::CoreConfig cfg,
+                       bool paper, unsigned w_bits = 0) {
+  qnn::ConvSpec layer = qnn::ConvSpec::paper_layer(bits);
+  std::string name = kernels::variant_name(v);
+  if (w_bits != 0) {
+    layer.w_bits = w_bits;
+    layer.out_bits = 8;
+    name += "-" + std::to_string(bits) + "x" + std::to_string(w_bits);
+  } else if (!paper) {
+    name += "-" + std::to_string(bits) + "b";
+  }
+  const auto data = kernels::ConvLayerData::random(layer, kSeed);
   const qnn::ConvSpec& spec = data.spec;  // requant_shift calibrated
   Workload w{cfg.name,
              kernels::variant_name(v),
+             std::move(name),
              bits,
+             paper,
              kernels::generate_conv_kernel(spec, v, 0x40000),
              mem::Memory{},
              std::move(cfg)};
@@ -213,24 +237,29 @@ GuardResult measure_attribution_guard(const Workload& w, bool superblock) {
 void usage() {
   std::fprintf(stderr,
                "usage: bench_sim_throughput [--min-speedup X] "
-               "[--guard-sampler [R]] [--guard-attribution [R]]\n");
+               "[--min-subbyte-speedup X] [--guard-sampler [R]] "
+               "[--guard-attribution [R]]\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   // --min-speedup X: exit nonzero when the superblock-over-reference
-  // speedup of any workload falls below X (the CI regression gate).
+  // speedup of either paper row (8b, hwq 4-bit) falls below X (the CI
+  // regression gate). --min-subbyte-speedup X: the same over the sub-byte
+  // rows (hwq 2-bit, mixed 8x4 / 8x2 / 4x2), gated apart so their lower
+  // speedups do not lower the paper rows' floor.
   // --guard-sampler [R]: also measure the idle-sampler cost and exit
   // nonzero when it retains less than R of the detached throughput
   // (default 0.98) or when the simulated cost changes at all.
   // --guard-attribution [R]: the same for the core's region attribution,
-  // on every workload, on the fast path and with superblocks on; with
+  // on both paper rows, on the fast path and with superblocks on; with
   // superblocks on, a fused-instruction gap against the detached run must
   // be explained by refused bursts (SuperblockStats::region_rejects).
   // A malformed or unknown argument is a usage error (exit 2), so a bad
   // floor can never pass as a gate of 0.
   double required_speedup = 0;
+  double required_subbyte_speedup = 0;
   bool guard_sampler = false;
   double guard_ratio = 0.98;
   bool guard_attribution = false;
@@ -239,6 +268,8 @@ int main(int argc, char** argv) {
   while (r.next()) {
     if (r.opt() == "--min-speedup") {
       r.positive(required_speedup);
+    } else if (r.opt() == "--min-subbyte-speedup") {
+      r.positive(required_subbyte_speedup);
     } else if (r.opt() == "--guard-sampler") {
       guard_sampler = true;
       if (r.has_value()) r.rate(guard_ratio);
@@ -252,20 +283,29 @@ int main(int argc, char** argv) {
   if (!r.finish()) return 2;
 
   std::printf("interpreter host throughput -- paper conv layer\n");
-  std::printf("%-28s %10s %10s %10s %10s %7s %7s %7s\n", "workload", "minstr",
-              "ref MIPS", "fast MIPS", "sb MIPS", "fast x", "sb x", "fused");
+  std::printf("%-28s %10s %10s %10s %10s %7s %7s %7s %7s\n", "workload",
+              "minstr", "ref MIPS", "fast MIPS", "sb MIPS", "fast x", "sb x",
+              "fused", "macro");
 
+  const sim::CoreConfig ext = sim::CoreConfig::extended();
   std::vector<Workload> workloads;
+  workloads.push_back(make_workload(8, ConvVariant::kXpulpV2_8b,
+                                    sim::CoreConfig::ri5cy(), true));
+  workloads.push_back(make_workload(4, ConvVariant::kXpulpNN_HwQ, ext, true));
+  workloads.push_back(make_workload(2, ConvVariant::kXpulpNN_HwQ, ext, false));
   workloads.push_back(
-      make_workload(8, ConvVariant::kXpulpV2_8b, sim::CoreConfig::ri5cy()));
-  workloads.push_back(make_workload(4, ConvVariant::kXpulpNN_HwQ,
-                                    sim::CoreConfig::extended()));
+      make_workload(8, ConvVariant::kXpulpNN_Mixed, ext, false, 4));
+  workloads.push_back(
+      make_workload(8, ConvVariant::kXpulpNN_Mixed, ext, false, 2));
+  workloads.push_back(
+      make_workload(4, ConvVariant::kXpulpNN_Mixed, ext, false, 2));
 
   obs::Registry reg;
   reg.text("bench", "sim_throughput");
   reg.text("unit", "host MIPS");
   double min_fast_speedup = 1e30;
   double min_sb_speedup = 1e30;
+  double min_subbyte_sb_speedup = 1e30;
 
   const auto add_measurement = [&reg](const std::string& prefix,
                                       const Measurement& m) {
@@ -278,21 +318,31 @@ int main(int argc, char** argv) {
     const ModeResults r = measure_modes(w);
     const double fast_speedup = r.fast.mips() / r.ref.mips();
     const double sb_speedup = r.superblock.mips() / r.ref.mips();
-    min_fast_speedup = std::min(min_fast_speedup, fast_speedup);
-    min_sb_speedup = std::min(min_sb_speedup, sb_speedup);
-    const double fused =
-        r.coverage_instructions != 0
-            ? static_cast<double>(r.coverage.fused_instructions) /
-                  static_cast<double>(r.coverage_instructions)
-            : 0;
+    if (w.paper) {
+      min_fast_speedup = std::min(min_fast_speedup, fast_speedup);
+      min_sb_speedup = std::min(min_sb_speedup, sb_speedup);
+    } else {
+      min_subbyte_sb_speedup = std::min(min_subbyte_sb_speedup, sb_speedup);
+    }
+    const auto share = [&r](u64 instructions) {
+      return r.coverage_instructions != 0
+                 ? static_cast<double>(instructions) /
+                       static_cast<double>(r.coverage_instructions)
+                 : 0;
+    };
+    const double fused = share(r.coverage.fused_instructions);
+    const double macro =
+        share(r.coverage.macro_iterations *
+              sim::SuperblockStats::kMacroIterationOps);
 
-    const std::string name = w.platform + "/" + w.variant;
-    std::printf("%-28s %10.2f %10.2f %10.2f %10.2f %6.2fx %6.2fx %6.1f%%\n",
-                name.c_str(), static_cast<double>(r.ref.instructions) / 1e6,
-                r.ref.mips(), r.fast.mips(), r.superblock.mips(), fast_speedup,
-                sb_speedup, 100 * fused);
+    const std::string name = w.platform + "/" + w.name;
+    std::printf(
+        "%-28s %10.2f %10.2f %10.2f %10.2f %6.2fx %6.2fx %6.1f%% %6.1f%%\n",
+        name.c_str(), static_cast<double>(r.ref.instructions) / 1e6,
+        r.ref.mips(), r.fast.mips(), r.superblock.mips(), fast_speedup,
+        sb_speedup, 100 * fused, 100 * macro);
 
-    const std::string key = "workloads." + w.platform + "_" + w.variant;
+    const std::string key = "workloads." + w.platform + "_" + w.name;
     reg.text(key + ".platform", w.platform);
     reg.text(key + ".variant", w.variant);
     reg.counter(key + ".bits", w.bits);
@@ -306,11 +356,12 @@ int main(int argc, char** argv) {
   }
   reg.gauge("min_speedup", min_fast_speedup);
   reg.gauge("min_superblock_speedup", min_sb_speedup);
+  reg.gauge("min_subbyte_superblock_speedup", min_subbyte_sb_speedup);
 
   bool guard_ok = true;
   if (guard_sampler) {
-    // Guard on the extended-core workload (the hot configuration).
-    const GuardResult g = measure_sampler_guard(workloads.back());
+    // Guard on the extended-core paper row (the hot configuration).
+    const GuardResult g = measure_sampler_guard(workloads[1]);
     std::printf("idle-sampler guard: detached %.2f MIPS, idle %.2f MIPS "
                 "(median pair %.1f%% retained, counters %s)\n",
                 g.detached.mips(), g.attached.mips(), 100 * g.ratio(),
@@ -336,6 +387,7 @@ int main(int argc, char** argv) {
   if (guard_attribution) {
     std::printf("region-attribution guard:\n");
     for (const Workload& w : workloads) {
+      if (!w.paper) continue;
       for (const bool sb : {false, true}) {
         const GuardResult g = measure_attribution_guard(w, sb);
         const std::string mode = sb ? "superblock" : "fast";
@@ -392,12 +444,21 @@ int main(int argc, char** argv) {
   }
 
   if (!save_bench_json(reg, "BENCH_throughput.json")) return 1;
-  std::printf("min speedup: fast %.2fx, superblock %.2fx\n", min_fast_speedup,
-              min_sb_speedup);
+  std::printf("min speedup: fast %.2fx, superblock %.2fx (sub-byte rows "
+              "%.2fx)\n",
+              min_fast_speedup, min_sb_speedup, min_subbyte_sb_speedup);
   if (required_speedup > 0 && min_sb_speedup < required_speedup) {
     std::fprintf(stderr,
                  "FAIL: superblock speedup %.2fx below required %.2fx\n",
                  min_sb_speedup, required_speedup);
+    return 1;
+  }
+  if (required_subbyte_speedup > 0 &&
+      min_subbyte_sb_speedup < required_subbyte_speedup) {
+    std::fprintf(stderr,
+                 "FAIL: sub-byte superblock speedup %.2fx below required "
+                 "%.2fx\n",
+                 min_subbyte_sb_speedup, required_subbyte_speedup);
     return 1;
   }
   return guard_ok ? 0 : 1;

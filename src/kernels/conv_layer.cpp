@@ -291,6 +291,7 @@ ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
   res.output = read_conv_output(spec, kernel.layout, mem);
   res.perf = core.perf();
   res.activity = core.dotp_unit().activity();
+  res.superblock = core.superblock_stats();
   res.mem_stats = mem.stats();
   res.code_bytes = kernel.program.size_bytes();
   res.macs = spec.macs();

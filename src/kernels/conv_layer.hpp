@@ -182,6 +182,8 @@ struct ConvRunResult {
   sim::PerfCounters perf;
   sim::DotpActivity activity;  // dot-product-unit switching, for the power model
   mem::MemStats mem_stats;
+  /// Superblock-engine coverage of the run (all zero with superblocks off).
+  sim::SuperblockStats superblock;
   cycles_t quant_cycles = 0;  // cycles attributed to re-quantization code
   u32 code_bytes = 0;
   u64 macs = 0;

@@ -117,6 +117,7 @@ inline sim::SuperblockStats diff(const sim::SuperblockStats& a,
   d.entry_rejects = a.entry_rejects - b.entry_rejects;
   d.fused_iterations = a.fused_iterations - b.fused_iterations;
   d.fused_instructions = a.fused_instructions - b.fused_instructions;
+  d.macro_iterations = a.macro_iterations - b.macro_iterations;
   d.smc_bails = a.smc_bails - b.smc_bails;
   d.trap_bails = a.trap_bails - b.trap_bails;
   d.invalidations = a.invalidations - b.invalidations;

@@ -252,6 +252,7 @@ void add_superblock_stats(Registry& r, std::string_view prefix,
   r.counter(pre + "entry_rejects", s.entry_rejects);
   r.counter(pre + "fused_iterations", s.fused_iterations);
   r.counter(pre + "fused_instructions", s.fused_instructions);
+  r.counter(pre + "macro_iterations", s.macro_iterations);
   r.counter(pre + "smc_bails", s.smc_bails);
   r.counter(pre + "trap_bails", s.trap_bails);
   r.counter(pre + "sample_flushes", s.sample_flushes);
@@ -262,6 +263,10 @@ void add_superblock_stats(Registry& r, std::string_view prefix,
   if (total_instructions != 0) {
     r.gauge(pre + "fused_fraction",
             static_cast<double>(s.fused_instructions) /
+                static_cast<double>(total_instructions));
+    r.gauge(pre + "macro_fraction",
+            static_cast<double>(s.macro_iterations *
+                                sim::SuperblockStats::kMacroIterationOps) /
                 static_cast<double>(total_instructions));
   }
 }

@@ -82,8 +82,9 @@ void add_mem_stats(Registry& r, std::string_view prefix,
                    const mem::MemStats& s);
 
 /// Publish superblock-engine coverage/fallback counters under `prefix`
-/// (e.g. "sim.superblock"), plus the derived fused-instruction fraction
-/// when `total_instructions` is nonzero.
+/// (e.g. "sim.superblock"), plus the derived fused_fraction and
+/// macro_fraction (shares of `total_instructions` retired fused and by
+/// the kConvInner macro-op) when `total_instructions` is nonzero.
 void add_superblock_stats(Registry& r, std::string_view prefix,
                           const sim::SuperblockStats& s,
                           u64 total_instructions = 0);

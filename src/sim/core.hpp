@@ -139,6 +139,10 @@ struct SuperblockStats {
   u64 entry_rejects = 0;     // guard failures at entry (interpreter ran)
   u64 fused_iterations = 0;  // whole loop iterations retired fused
   u64 fused_instructions = 0;
+  /// Fused iterations retired by the kConvInner macro-op handler (a subset
+  /// of fused_iterations; each retires kMacroIterationOps instructions).
+  u64 macro_iterations = 0;
+  static constexpr u64 kMacroIterationOps = 8;
   u64 smc_bails = 0;   // self-modifying store hit the live block
   u64 trap_bails = 0;  // memory fault repaired to an exact boundary
   u64 invalidations = 0;  // bindings evicted by stores / cache flushes

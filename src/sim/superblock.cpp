@@ -11,6 +11,8 @@
 #include "sim/superblock.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
@@ -122,12 +124,12 @@ void op_static_delta(const SbOp& o, PerfCounters& d, mem::MemStats& m) {
 }
 
 #ifdef XPULP_SB_HOST_SIMD
-/// Host-SIMD dot kernels for the two hot SIMD widths (bytes and nibbles),
-/// bit-identical to dotp_lanes<W, false>: widen every lane to 16 bits with
-/// its operand's signedness, multiply-accumulate pairs into 32-bit lanes
-/// (a sum of <=8 products of 16-bit values cannot overflow 32 bits — this
-/// is why pmaddwd is used and not the saturating pmaddubsw), and fold.
-/// Lane sums wrap mod 2^32 exactly like the scalar kernel's u32 adds.
+/// Host-SIMD dot kernels, bit-identical to dotp_lanes<W, false>: widen
+/// every lane to 16 bits with its operand's signedness, multiply-accumulate
+/// pairs into 32-bit lanes (a sum of <=8 products of 16-bit values cannot
+/// overflow 32 bits — this is why pmaddwd is used and not the saturating
+/// pmaddubsw), and fold. Lane sums wrap mod 2^32 exactly like the scalar
+/// kernel's u32 adds.
 
 inline i32 host_dot8(u32 a, u32 b, u32 sum, bool sa, bool sb) {
   const __m128i va = _mm_cvtsi32_si128(static_cast<int>(a));
@@ -140,15 +142,19 @@ inline i32 host_dot8(u32 a, u32 b, u32 sum, bool sa, bool sb) {
                           static_cast<u32>(q >> 32));
 }
 
+/// Nibbles of `v` spread into eight bytes: even nibbles in the low four,
+/// odd in the high four. Lane order is irrelevant to a dot product as
+/// long as both operands use the same one.
+inline u64 spread4(u32 v) {
+  return (v & 0x0F0F0F0Fu) |
+         ((static_cast<u64>(v) >> 4) & 0x0F0F0F0F) << 32;
+}
+
 inline i32 host_dot4(u32 a, u32 b, u32 sum, bool sa, bool sb) {
-  // Spread the eight nibbles into eight bytes (even nibbles in the low
-  // half, odd in the high — lane order is irrelevant to a dot product as
-  // long as both operands use the same one), then sign-extend
-  // nibble-in-byte via the (x ^ 8) - 8 identity where signed.
+  // Spread the nibbles into bytes, then sign-extend nibble-in-byte via the
+  // (x ^ 8) - 8 identity where signed.
   const auto expand = [](u32 v) {
-    const u64 lo = v & 0x0F0F0F0Fu;
-    const u64 hi = (static_cast<u64>(v) >> 4) & 0x0F0F0F0Fu;
-    return _mm_cvtsi64_si128(static_cast<long long>(lo | hi << 32));
+    return _mm_cvtsi64_si128(static_cast<long long>(spread4(v)));
   };
   const __m128i k8 = _mm_set1_epi8(8);
   __m128i va = expand(a);
@@ -164,68 +170,215 @@ inline i32 host_dot4(u32 a, u32 b, u32 sum, bool sa, bool sb) {
                           static_cast<u32>(q >> 32));
 }
 
+/// The 16 crumbs of `v` spread into 16 bytes: crumb 4j + k lands in byte
+/// 4k + j. Any fixed lane order serves a dot product whose operands share
+/// it.
+inline __m128i spread2(u32 v) {
+  const u64 m = 0x03030303u;
+  const u64 lo = (v & m) | ((v >> 2) & m) << 32;
+  const u64 hi = ((v >> 4) & m) | ((v >> 6) & m) << 32;
+  return _mm_set_epi64x(static_cast<long long>(hi),
+                        static_cast<long long>(lo));
+}
+
+/// Sign-extend crumb-in-byte lanes via the (x ^ 2) - 2 identity.
+inline __m128i sext2(__m128i v) {
+  const __m128i k2 = _mm_set1_epi8(2);
+  return _mm_sub_epi8(_mm_xor_si128(v, k2), k2);
+}
+
+inline i32 host_dot2(u32 a, u32 b, u32 sum, bool sa, bool sb) {
+  // After spreading (and sign extension where signed) every lane is an
+  // exact int8 value, so one sign-extending widening serves all signs.
+  __m128i va = spread2(a);
+  __m128i vb = spread2(b);
+  if (sa) va = sext2(va);
+  if (sb) vb = sext2(vb);
+  __m128i p = _mm_add_epi32(
+      _mm_madd_epi16(_mm_cvtepi8_epi16(va), _mm_cvtepi8_epi16(vb)),
+      _mm_madd_epi16(_mm_cvtepi8_epi16(_mm_srli_si128(va, 8)),
+                     _mm_cvtepi8_epi16(_mm_srli_si128(vb, 8))));
+  p = _mm_add_epi32(p, _mm_shuffle_epi32(p, 0xEE));
+  const u64 q = static_cast<u64>(_mm_cvtsi128_si64(p));
+  return static_cast<i32>(sum + static_cast<u32>(q) +
+                          static_cast<u32>(q >> 32));
+}
+
 /// Raw lane-0 replication turning a .sc operand into a full vector. Lane
 /// extension happens inside the kernels, so replicating the unextended
 /// bits is exactly the dotp_lanes<W, true> semantics.
 inline u32 rep8(u32 b) { return (b & 0xFFu) * 0x01010101u; }
 inline u32 rep4(u32 b) { return (b & 0xFu) * 0x11111111u; }
+inline u32 rep2(u32 b) { return (b & 0x3u) * 0x55555555u; }
 
-/// Nibbles of `v` spread into eight bytes (even nibbles in the low four,
-/// odd in the high four) for the kConvInner nibble kernel.
-inline u64 spread4(u32 v) {
-  return (v & 0x0F0F0F0Fu) |
-         ((static_cast<u64>(v) >> 4) & 0x0F0F0F0F) << 32;
+/// Widens the weight word of a mixed dot product to its activation lane
+/// width, two table lookups per word: lut[v] holds the widened lanes of
+/// weight byte v, sign- or zero-extended. The widened word then feeds the
+/// uniform kernel of the activation width (host_dot8 for 8x4 and 8x2,
+/// host_dot4 for 4x2) with unchanged signedness flags.
+struct LaneExpander {
+  std::array<u32, 256> lut{};
+  /// 0xff when the weight lanes span two bytes (8x4, 4x2), else 0: the
+  /// second lookup then reads lut[0] == 0.
+  u32 hi_mask = 0;
+  u32 widen(u32 w) const {
+    return lut[w & 0xFFu] | lut[(w >> 8) & hi_mask] << 16;
+  }
+};
+
+constexpr LaneExpander make_expander(u32 sel, bool sign) {
+  const unsigned wa = isa::mixed_width_a(sel);
+  const unsigned wb = isa::mixed_width_b(sel);
+  LaneExpander e;
+  e.hi_mask = (32 / wa) * wb > 8 ? 0xFFu : 0u;
+  for (u32 v = 0; v < 256; ++v) {
+    u32 out = 0;
+    for (unsigned i = 0; i < 8 / wb; ++i) {
+      u32 lane = (v >> (i * wb)) & low_mask(wb);
+      if (sign && (lane >> (wb - 1)) != 0) lane |= ~low_mask(wb);
+      out |= (lane & low_mask(wa)) << (i * wa);
+    }
+    e.lut[v] = out;
+  }
+  return e;
 }
 
-/// Recognize the 2x2-blocked MatMul inner body (SbShape::kConvInner):
+/// The expander table, keyed by (mpc selector, weight signedness).
+constexpr std::array<std::array<LaneExpander, 2>, isa::kMpcSelCount>
+    kLaneExpanders = {{
+        {make_expander(0, false), make_expander(0, true)},
+        {make_expander(1, false), make_expander(1, true)},
+        {make_expander(2, false), make_expander(2, true)},
+    }};
+
+const LaneExpander& lane_expander(u32 sel, bool sb) {
+  return kLaneExpanders[sel][sb ? 1 : 0];
+}
+
+/// Mixed dot product through the expander table: bit-identical to
+/// dotp_lanes_mixed_sel for every legal selector.
+inline i32 host_dot_mixed(u32 sel, u32 a, u32 b, u32 sum, bool sa, bool sb) {
+  const u32 wb = lane_expander(sel, sb).widen(b);
+  return sel == 2 ? host_dot4(a, wb, sum, sa, sb)
+                  : host_dot8(a, wb, sum, sa, sb);
+}
+
+// The kConvInner lane kernels: all four dots of the 2x2 block, returned
+// as [x0.w0, x1.w0, x0.w1, x1.w1] (x: the rs1 words, w: the rs2 words).
+
+inline __m128i conv_dot8(u32 x0, u32 x1, u32 w0, u32 w1, bool sa, bool sb) {
+  const __m128i va = _mm_cvtsi64_si128(static_cast<long long>(
+      static_cast<u64>(x0) | static_cast<u64>(x1) << 32));
+  const __m128i vb0 = _mm_cvtsi64_si128(static_cast<long long>(
+      static_cast<u64>(w0) | static_cast<u64>(w0) << 32));
+  const __m128i vb1 = _mm_cvtsi64_si128(static_cast<long long>(
+      static_cast<u64>(w1) | static_cast<u64>(w1) << 32));
+  const __m128i wa = sa ? _mm_cvtepi8_epi16(va) : _mm_cvtepu8_epi16(va);
+  const __m128i wb0 = sb ? _mm_cvtepi8_epi16(vb0) : _mm_cvtepu8_epi16(vb0);
+  const __m128i wb1 = sb ? _mm_cvtepi8_epi16(vb1) : _mm_cvtepu8_epi16(vb1);
+  return _mm_hadd_epi32(_mm_madd_epi16(wa, wb0), _mm_madd_epi16(wa, wb1));
+}
+
+inline __m128i conv_dot4(u32 x0, u32 x1, u32 w0, u32 w1, bool sb) {
+  // Unsigned-first pmaddubsw (compile-time guaranteed), pair sums
+  // <= 2*15*15 so the s16 saturation is unreachable.
+  const __m128i a16 = _mm_set_epi64x(static_cast<long long>(spread4(x1)),
+                                     static_cast<long long>(spread4(x0)));
+  __m128i b0 = _mm_set1_epi64x(static_cast<long long>(spread4(w0)));
+  __m128i b1 = _mm_set1_epi64x(static_cast<long long>(spread4(w1)));
+  if (sb) {
+    const __m128i k8 = _mm_set1_epi8(8);
+    b0 = _mm_sub_epi8(_mm_xor_si128(b0, k8), k8);
+    b1 = _mm_sub_epi8(_mm_xor_si128(b1, k8), k8);
+  }
+  const __m128i ones = _mm_set1_epi16(1);
+  return _mm_hadd_epi32(_mm_madd_epi16(_mm_maddubs_epi16(a16, b0), ones),
+                        _mm_madd_epi16(_mm_maddubs_epi16(a16, b1), ones));
+}
+
+inline __m128i conv_dot2(u32 x0, u32 x1, u32 w0, u32 w1, bool sb) {
+  // Unsigned-first pmaddubsw over 16 byte lanes per word; pair sums
+  // <= 2*3*3, far from the s16 saturation.
+  const __m128i a0 = spread2(x0);
+  const __m128i a1 = spread2(x1);
+  __m128i b0 = spread2(w0);
+  __m128i b1 = spread2(w1);
+  if (sb) {
+    b0 = sext2(b0);
+    b1 = sext2(b1);
+  }
+  const __m128i ones = _mm_set1_epi16(1);
+  const auto dot = [&ones](__m128i a, __m128i b) {
+    return _mm_madd_epi16(_mm_maddubs_epi16(a, b), ones);
+  };
+  return _mm_hadd_epi32(_mm_hadd_epi32(dot(a0, b0), dot(a1, b0)),
+                        _mm_hadd_epi32(dot(a0, b1), dot(a1, b1)));
+}
+
+/// Recognize the 2x2-blocked MatMul inner body (SbShape::kConvInner) and
+/// pick its lane kernel:
 ///   ops[0..3]  post-increment word loads (any registers, any order);
-///   ops[4..7]  same-format byte/nibble dot products over two activation
-///              words x two weight words, one accumulator each.
+///   ops[4..7]  four dot products of one kind — same format, or all
+///              mixed (sb_compile bakes one mpc selector into every mixed
+///              dot of a plan) — over two activation words x two weight
+///              words, one accumulator each.
 /// The structural requirements are exactly what makes the batched
 /// macro-op handler equivalent to executing the four dots in sequence:
 /// identical format/sign flags, the 2x2 operand pattern, and destination
 /// registers that are distinct and never read as dot operands (loads need
 /// no constraints — the handler sequences them like the generic loop).
-/// The nibble kernel multiplies via pmaddubsw, so its first operand must
-/// be unsigned; signed-by-signed nibble blocks stay on the generic path.
-bool matches_conv_inner(const SuperblockPlan& p) {
-  if (!p.is_hwloop || p.ops.size() != 8) return false;
+/// The nibble and crumb kernels multiply via pmaddubsw, so their first
+/// operand must be unsigned; signed-first blocks stay on the generic path.
+std::optional<SbConvLanes> conv_inner_lanes(const SuperblockPlan& p) {
+  if (!p.is_hwloop || p.ops.size() != 8) return std::nullopt;
   for (size_t k = 0; k < 4; ++k) {
     const SbOp& o = p.ops[k];
-    if (o.kind != SbKind::kMem) return false;
+    if (o.kind != SbKind::kMem) return std::nullopt;
     const u16 f = o.flags;
     if ((f & iflag::kIsStore) || !(f & iflag::kMemPostInc) ||
         (f & iflag::kMemRegOff) || o.aux != 4) {
-      return false;
+      return std::nullopt;
     }
   }
   const SbOp& d0 = p.ops[4];
-  if (d0.fmt != isa::SimdFmt::kB && d0.fmt != isa::SimdFmt::kN) return false;
-  if (d0.fmt == isa::SimdFmt::kN && (d0.flags & iflag::kDotSignedA)) {
-    return false;
+  const bool mixed = (d0.flags & iflag::kDotMixed) != 0;
+  SbConvLanes lanes{};
+  if (mixed) {
+    lanes = d0.imm == 2 ? SbConvLanes::kMixedNibbles : SbConvLanes::kMixedBytes;
+  } else if (d0.fmt == isa::SimdFmt::kB) {
+    lanes = SbConvLanes::kBytes;
+  } else if (d0.fmt == isa::SimdFmt::kN) {
+    lanes = SbConvLanes::kNibbles;
+  } else if (d0.fmt == isa::SimdFmt::kC) {
+    lanes = SbConvLanes::kCrumbs;
+  } else {
+    return std::nullopt;
   }
-  constexpr u16 kDotMask =
-      iflag::kDotAccum | iflag::kDotSignedA | iflag::kDotSignedB;
+  const bool bytes =
+      lanes == SbConvLanes::kBytes || lanes == SbConvLanes::kMixedBytes;
+  if (!bytes && (d0.flags & iflag::kDotSignedA)) return std::nullopt;
+  constexpr u16 kDotMask = iflag::kDotAccum | iflag::kDotSignedA |
+                           iflag::kDotSignedB | iflag::kDotMixed;
   for (size_t k = 4; k < 8; ++k) {
     const SbOp& o = p.ops[k];
-    if (o.kind != SbKind::kDotp || o.fmt != d0.fmt) return false;
-    if ((o.flags & kDotMask) != (d0.flags & kDotMask)) return false;
+    if (o.kind != SbKind::kDotp || o.fmt != d0.fmt) return std::nullopt;
+    if ((o.flags & kDotMask) != (d0.flags & kDotMask)) return std::nullopt;
   }
   if (p.ops[4].rs1 != p.ops[6].rs1 || p.ops[5].rs1 != p.ops[7].rs1) {
-    return false;
+    return std::nullopt;
   }
   if (p.ops[4].rs2 != p.ops[5].rs2 || p.ops[6].rs2 != p.ops[7].rs2) {
-    return false;
+    return std::nullopt;
   }
   for (size_t k = 4; k < 8; ++k) {
     const u8 rd = p.ops[k].rd;
-    if (rd == 0) return false;
+    if (rd == 0) return std::nullopt;
     for (size_t j = 4; j < 8; ++j) {
-      if (j != k && p.ops[j].rd == rd) return false;
-      if (p.ops[j].rs1 == rd || p.ops[j].rs2 == rd) return false;
+      if (j != k && p.ops[j].rd == rd) return std::nullopt;
+      if (p.ops[j].rs1 == rd || p.ops[j].rs2 == rd) return std::nullopt;
     }
   }
-  return true;
+  return lanes;
 }
 #endif  // XPULP_SB_HOST_SIMD
 
@@ -241,6 +394,14 @@ bool is_conditional_branch(Mnemonic op) {
 }
 
 }  // namespace
+
+bool conv_macro_op_built() {
+#ifdef XPULP_SB_HOST_SIMD
+  return true;
+#else
+  return false;
+#endif
+}
 
 void Core::sb_note_backedge(addr_t branch_pc, addr_t target) {
   SbHeatEntry& e = sb_heat_[(branch_pc >> 1) & (kSbHeatSize - 1)];
@@ -585,7 +746,10 @@ std::unique_ptr<SuperblockPlan> Core::sb_compile(addr_t start,
     plan->dotp_region = mixed ? u8{0xff} : dr;
   }
 #ifdef XPULP_SB_HOST_SIMD
-  if (matches_conv_inner(*plan)) plan->shape = SbShape::kConvInner;
+  if (const auto lanes = conv_inner_lanes(*plan)) {
+    plan->shape = SbShape::kConvInner;
+    plan->conv_lanes = *lanes;
+  }
 #endif
 
   // Worst-case dynamic cycles per iteration in slim memory mode, for the
@@ -841,17 +1005,22 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget) {
   const bool use_conv =
       plan.shape == SbShape::kConvInner && mem_slim && hoist_dotp;
   u8 cx0 = 0, cx1 = 0, cw0 = 0, cw1 = 0;
-  bool conv_bytes = false, conv_sa = false, conv_sb = false,
-       conv_acc = false;
+  bool conv_sa = false, conv_sb = false, conv_acc = false;
+  // Tested in order, so the uniform byte and nibble bodies of the paper
+  // layers take one and two compares per iteration.
+  const SbConvLanes conv_lanes = plan.conv_lanes;
+  const LaneExpander* conv_widen = nullptr;  // mixed plans only
   if (use_conv) {
     cx0 = ops[4].rs1;
     cx1 = ops[5].rs1;
     cw0 = ops[4].rs2;
     cw1 = ops[6].rs2;
-    conv_bytes = ops[4].fmt == isa::SimdFmt::kB;
     conv_sa = (ops[4].flags & iflag::kDotSignedA) != 0;
     conv_sb = (ops[4].flags & iflag::kDotSignedB) != 0;
     conv_acc = (ops[4].flags & iflag::kDotAccum) != 0;
+    if (ops[4].flags & iflag::kDotMixed) {
+      conv_widen = &lane_expander(static_cast<u32>(ops[4].imm), conv_sb);
+    }
   }
 #endif
 
@@ -862,6 +1031,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget) {
   // register. Every exit path below — completion, budget, SMC bail, trap —
   // therefore finishes with the batched add before leaving.
   u64 done = 0;      // completed iterations (incl. a final not-taken one)
+  u64 macro = 0;     // of those, retired by the macro-op handler
   u64 retired = 0;   // instructions retired by this burst
   size_t i = 0;      // op cursor, read by the trap-repair path
   bool fell_through = false;  // branch plans: exited via the not-taken side
@@ -940,44 +1110,26 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget) {
           set_reg(o.rs1, base + static_cast<u32>(o.imm));
         }
         // All four dots in two SIMD multiply-accumulate steps over the
-        // 2x2 operand block; nothing past the loads can fault.
+        // 2x2 operand block; nothing past the loads can fault. Mixed
+        // weight words are widened once each; the dot latches below see
+        // the raw register words.
         const u32 x0 = regs_[cx0];
         const u32 x1 = regs_[cx1];
         const u32 w0 = regs_[cw0];
         const u32 w1 = regs_[cw1];
         __m128i s;  // [x0.w0, x1.w0, x0.w1, x1.w1]
-        if (conv_bytes) {
-          const __m128i va = _mm_cvtsi64_si128(static_cast<long long>(
-              static_cast<u64>(x0) | static_cast<u64>(x1) << 32));
-          const __m128i vb0 = _mm_cvtsi64_si128(static_cast<long long>(
-              static_cast<u64>(w0) | static_cast<u64>(w0) << 32));
-          const __m128i vb1 = _mm_cvtsi64_si128(static_cast<long long>(
-              static_cast<u64>(w1) | static_cast<u64>(w1) << 32));
-          const __m128i wa =
-              conv_sa ? _mm_cvtepi8_epi16(va) : _mm_cvtepu8_epi16(va);
-          const __m128i wb0 =
-              conv_sb ? _mm_cvtepi8_epi16(vb0) : _mm_cvtepu8_epi16(vb0);
-          const __m128i wb1 =
-              conv_sb ? _mm_cvtepi8_epi16(vb1) : _mm_cvtepu8_epi16(vb1);
-          s = _mm_hadd_epi32(_mm_madd_epi16(wa, wb0),
-                             _mm_madd_epi16(wa, wb1));
-        } else {
-          // Nibbles: unsigned-first pmaddubsw (compile-time guaranteed),
-          // pair sums <= 2*15*15 so the s16 saturation is unreachable.
-          const __m128i a16 = _mm_set_epi64x(
-              static_cast<long long>(spread4(x1)),
-              static_cast<long long>(spread4(x0)));
-          __m128i b0 = _mm_set1_epi64x(static_cast<long long>(spread4(w0)));
-          __m128i b1 = _mm_set1_epi64x(static_cast<long long>(spread4(w1)));
-          if (conv_sb) {
-            const __m128i k8 = _mm_set1_epi8(8);
-            b0 = _mm_sub_epi8(_mm_xor_si128(b0, k8), k8);
-            b1 = _mm_sub_epi8(_mm_xor_si128(b1, k8), k8);
-          }
-          const __m128i ones = _mm_set1_epi16(1);
-          s = _mm_hadd_epi32(
-              _mm_madd_epi16(_mm_maddubs_epi16(a16, b0), ones),
-              _mm_madd_epi16(_mm_maddubs_epi16(a16, b1), ones));
+        if (conv_lanes == SbConvLanes::kBytes) {
+          s = conv_dot8(x0, x1, w0, w1, conv_sa, conv_sb);
+        } else if (conv_lanes == SbConvLanes::kNibbles) {
+          s = conv_dot4(x0, x1, w0, w1, conv_sb);
+        } else if (conv_lanes == SbConvLanes::kCrumbs) {
+          s = conv_dot2(x0, x1, w0, w1, conv_sb);
+        } else if (conv_lanes == SbConvLanes::kMixedBytes) {
+          s = conv_dot8(x0, x1, conv_widen->widen(w0), conv_widen->widen(w1),
+                        conv_sa, conv_sb);
+        } else {  // SbConvLanes::kMixedNibbles
+          s = conv_dot4(x0, x1, conv_widen->widen(w0), conv_widen->widen(w1),
+                        conv_sb);
         }
         alignas(16) i32 d[4];
         _mm_store_si128(reinterpret_cast<__m128i*>(d), s);
@@ -993,6 +1145,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget) {
         dla = x1;
         dlb = w1;
         dops += 4;
+        macro += 1;
       } else
 #endif
       for (i = 0; i < n; ++i) {
@@ -1084,8 +1237,12 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget) {
             i32 r = 0;
             if (f & iflag::kDotMixed) {
               // Baked selector (entry guard proved it still equals mpc_).
+#ifdef XPULP_SB_HOST_SIMD
+              r = host_dot_mixed(static_cast<u32>(o.imm), a, b, acc, sa, sb);
+#else
               r = dotp_lanes_mixed_sel(static_cast<u32>(o.imm), a, b, acc,
                                        sa, sb);
+#endif
             } else
             switch (o.fmt) {
               case isa::SimdFmt::kH: r = dotp_lanes<16, false>(a, b, acc, sa, sb); break;
@@ -1095,14 +1252,16 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget) {
               case isa::SimdFmt::kBSc: r = host_dot8(a, rep8(b), acc, sa, sb); break;
               case isa::SimdFmt::kN: r = host_dot4(a, b, acc, sa, sb); break;
               case isa::SimdFmt::kNSc: r = host_dot4(a, rep4(b), acc, sa, sb); break;
+              case isa::SimdFmt::kC: r = host_dot2(a, b, acc, sa, sb); break;
+              case isa::SimdFmt::kCSc: r = host_dot2(a, rep2(b), acc, sa, sb); break;
 #else
               case isa::SimdFmt::kB: r = dotp_lanes<8, false>(a, b, acc, sa, sb); break;
               case isa::SimdFmt::kBSc: r = dotp_lanes<8, true>(a, b, acc, sa, sb); break;
               case isa::SimdFmt::kN: r = dotp_lanes<4, false>(a, b, acc, sa, sb); break;
               case isa::SimdFmt::kNSc: r = dotp_lanes<4, true>(a, b, acc, sa, sb); break;
-#endif
               case isa::SimdFmt::kC: r = dotp_lanes<2, false>(a, b, acc, sa, sb); break;
               case isa::SimdFmt::kCSc: r = dotp_lanes<2, true>(a, b, acc, sa, sb); break;
+#endif
               default: break;  // unreachable: validated at compile time
             }
             if (hoist_dotp) {
@@ -1264,6 +1423,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget) {
     sb_stats_.trap_bails += 1;
     sb_stats_.fused_iterations += done;
     sb_stats_.fused_instructions += retired + i;
+    sb_stats_.macro_iterations += macro;
     sb_exit(plan);
     throw;
   }
@@ -1283,6 +1443,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, addr_t entry, u64 budget) {
   }
   sb_stats_.fused_iterations += done;
   sb_stats_.fused_instructions += retired;
+  sb_stats_.macro_iterations += macro;
   sb_exit(plan);
   return retired;
 }

@@ -30,6 +30,10 @@
 
 namespace xpulp::sim {
 
+/// True when this build carries the host-SIMD kConvInner macro-op (x86
+/// with SSE4.1); elsewhere every fused body runs the generic loop.
+bool conv_macro_op_built();
+
 /// How the fused loop executes one op. Fully-inlined kinds batch their
 /// class counter in the static per-iteration delta; the remaining kinds
 /// call the existing exec helpers, which charge class counters (and any
@@ -49,12 +53,33 @@ enum class SbKind : u8 {
 /// Recognized whole-iteration shapes. kConvInner is the 2x2-blocked
 /// MatMul inner body every conv kernel in this repo emits (4 post-inc
 /// word loads feeding 4 accumulate-dots over 2 activation x 2 weight
-/// words); sb_execute runs it through a hand-fused macro-op handler that
-/// expands each operand word once and computes all four dot products in
-/// two SIMD multiply-accumulate steps.
+/// words); sb_execute runs it through a macro-op handler that widens each
+/// operand word once and computes all four dot products in two SIMD
+/// multiply-accumulate steps. Which widening runs is the plan's
+/// SbConvLanes, chosen at compile time.
+///
+/// What stays on the generic fused loop: non-2x2 bodies (1-pixel bodies,
+/// linear layers), signed-first nibble and crumb dots (the nibble and
+/// crumb kernels multiply through pmaddubsw, whose first operand is
+/// unsigned) including signed-first mixed 4x2, and 16-bit dots. The
+/// generic loop's kDotp op shares the mixed-weight expander table.
 enum class SbShape : u8 {
   kGeneric = 0,
   kConvInner,
+};
+
+/// Lane kernel of a kConvInner plan, keyed by the dots' format or, for
+/// mixed dots (pv.mlsdot*), by the baked mpc selector. Mixed weight words
+/// are widened through a 256-entry table keyed by (selector, weight
+/// sign): the low 4 nibbles (8x4) or crumbs (8x2) become 4 sign- or
+/// zero-extended bytes, the low 8 crumbs (4x2) become 8 nibbles. The
+/// activation-width kernel then runs unchanged on the widened word.
+enum class SbConvLanes : u8 {
+  kBytes,         // .b: bytes widened to 16 bits, pmaddwd; any signs
+  kNibbles,       // .n: nibbles spread to bytes, pmaddubsw; unsigned rs1
+  kCrumbs,        // .c: 16 crumbs spread to bytes, pmaddubsw; unsigned rs1
+  kMixedBytes,    // mpc 8x4 / 8x2: weights widened to bytes, then kBytes
+  kMixedNibbles,  // mpc 4x2: weights widened to nibbles, then kNibbles
 };
 
 struct SbOp {
@@ -135,6 +160,8 @@ struct SuperblockPlan {
   u8 dotp_region = 0xff;
   /// Whole-iteration specialization selected at compile time.
   SbShape shape = SbShape::kGeneric;
+  /// kConvInner: the lane kernel its dots run through.
+  SbConvLanes conv_lanes = SbConvLanes::kBytes;
   /// The plan contains mixed dot products (pv.mldot*/pv.mlsdot*) whose
   /// operand formats were baked from the precision-status CSR at compile
   /// time. Any value-changing mpc write evicts such plans; the entry guard

@@ -107,7 +107,7 @@ TEST(Registry, SuperblockStatsPublishAndDiffEveryField) {
   EXPECT_EQ(diff(s, sim::SuperblockStats{}), s);
 
   // One counter per field, carrying every field's value exactly once (no
-  // fused_fraction gauge without an instruction total).
+  // fraction gauges without an instruction total).
   Registry reg;
   add_superblock_stats(reg, "sb", s, /*total_instructions=*/0);
   EXPECT_EQ(reg.size(), kFields);

@@ -3,13 +3,15 @@
 // run_steps() and run_burst() stop in each dispatch mode, a
 // differential sweep over every dot-product mnemonic/format combination —
 // the combinations the fused loop routes through host-SIMD kernels
-// (8-bit, nibble) and the ones that stay on the scalar lane kernel
-// (16-bit, crumb) must all be bit-identical to the reference interpreter —
-// and content-addressed plan sharing across unrolled copies of a body
-// (one compile, per-copy invalidation, mpc eviction, pc-relative bodies).
+// (8-bit, nibble, crumb, mixed) and the one that stays on the scalar lane
+// kernel (16-bit) must all be bit-identical to the reference interpreter —
+// the 2x2 conv body under every macro-op lane kernel, and content-addressed
+// plan sharing across unrolled copies of a body (one compile, per-copy
+// invalidation, mpc eviction, pc-relative bodies).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -19,6 +21,7 @@
 #include "isa/instruction.hpp"
 #include "mem/memory.hpp"
 #include "sim/core.hpp"
+#include "sim/superblock.hpp"
 #include "xasm/assembler.hpp"
 
 namespace xpulp {
@@ -385,11 +388,55 @@ TEST(Superblock, DotVariantSweepBitIdentical) {
   }
 }
 
+/// The conv generator's 2x2-blocked inner body over any dot emitter:
+/// post-increment loads of two rs1 words (s0) and two rs2 words (s1), then
+/// four accumulate-dots in the 2x2 operand pattern. `prologue` runs first
+/// (an mpc write for mixed dots).
+template <typename Dot, typename Prologue>
+xasm::Program conv_inner_program(Dot dot, Prologue prologue) {
+  xasm::Assembler a(0);
+  prologue(a);
+  a.li(r::s0, kData);
+  a.li(r::s1, kData + 0x100);
+  for (u8 acc : {r::a4, r::a5, r::a6, r::a7}) a.li(acc, 0x1234);
+  const xasm::Assembler::Label end = a.new_label();
+  a.lp_setupi(0, 24, end);
+  a.p_lw_post(r::t0, r::s0, 4);  // x0
+  a.p_lw_post(r::t1, r::s0, 4);  // x1
+  a.p_lw_post(r::t2, r::s1, 4);  // w0
+  a.p_lw_post(r::t3, r::s1, 4);  // w1
+  dot(a, r::a4, r::t0, r::t2);
+  dot(a, r::a5, r::t1, r::t2);
+  dot(a, r::a6, r::t0, r::t3);
+  dot(a, r::a7, r::t1, r::t3);
+  a.bind(end);
+  a.ecall();
+  return a.finish();
+}
+
+/// Reference ≡ fast ≡ superblock on every counter, and every fused
+/// iteration through the macro-op (`macro`) or none of them.
+void expect_conv_inner_exact(const xasm::Program& prog, bool macro,
+                             const std::string& name) {
+  sim::SuperblockStats stats;
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState fast = run_prog(prog, false, false);
+  const FinalState sb = run_prog(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall) << name;
+  EXPECT_GT(stats.fused_iterations, 0u) << name;
+  EXPECT_EQ(stats.macro_iterations,
+            macro && sim::conv_macro_op_built() ? stats.fused_iterations : 0u)
+      << name;
+  expect_identical(ref, fast);
+  expect_identical(ref, sb);
+  if (::testing::Test::HasFailure()) FAIL() << name;
+}
+
 TEST(Superblock, ConvInnerShapeBitIdentical) {
   // The exact 2x2-blocked MatMul inner body the conv generator emits
   // (4 post-inc word loads + 4 accumulate-dots in the 2x2 operand
   // pattern): the shape the engine specializes into a single macro-op
-  // handler. Byte and nibble element widths, both rs2 signednesses —
+  // handler. Byte and nibble element widths, both rs1 signednesses —
   // including the signed-activation nibble case that must fall back to
   // the generic fused path.
   using isa::SimdFmt;
@@ -397,47 +444,77 @@ TEST(Superblock, ConvInnerShapeBitIdentical) {
     const char* name;
     SimdFmt fmt;
     bool signed_a;  // rs1 (activation) operand signedness
+    bool macro;     // expected to run through the macro-op
   };
   const ShapeCase cases[] = {
-      {"sdotusp.b", SimdFmt::kB, false},
-      {"sdotsp.b", SimdFmt::kB, true},
-      {"sdotusp.n", SimdFmt::kN, false},
-      {"sdotsp.n", SimdFmt::kN, true},
+      {"sdotusp.b", SimdFmt::kB, false, true},
+      {"sdotsp.b", SimdFmt::kB, true, true},
+      {"sdotusp.n", SimdFmt::kN, false, true},
+      {"sdotsp.n", SimdFmt::kN, true, false},
   };
-
   for (const ShapeCase& c : cases) {
-    xasm::Assembler a(0);
-    a.li(r::s0, kData);
-    a.li(r::s1, kData + 0x100);
-    for (u8 acc : {r::a4, r::a5, r::a6, r::a7}) a.li(acc, 0);
-    const xasm::Assembler::Label end = a.new_label();
-    a.lp_setupi(0, 24, end);
-    a.p_lw_post(r::t0, r::s0, 4);  // activation pixel 0
-    a.p_lw_post(r::t1, r::s0, 4);  // activation pixel 1
-    a.p_lw_post(r::t2, r::s1, 4);  // weight channel 0
-    a.p_lw_post(r::t3, r::s1, 4);  // weight channel 1
-    auto dot = [&](u8 rd, u8 w, u8 x) {
-      if (c.signed_a) {
-        a.pv_sdotsp(c.fmt, rd, w, x);
-      } else {
-        a.pv_sdotusp(c.fmt, rd, w, x);
-      }
-    };
-    dot(r::a4, r::t2, r::t0);
-    dot(r::a5, r::t3, r::t0);
-    dot(r::a6, r::t2, r::t1);
-    dot(r::a7, r::t3, r::t1);
-    a.bind(end);
-    a.ecall();
-    const xasm::Program prog = a.finish();
+    const xasm::Program prog = conv_inner_program(
+        [&](xasm::Assembler& a, u8 rd, u8 x, u8 w) {
+          if (c.signed_a) {
+            a.pv_sdotsp(c.fmt, rd, x, w);
+          } else {
+            a.pv_sdotusp(c.fmt, rd, x, w);
+          }
+        },
+        [](xasm::Assembler&) {});
+    expect_conv_inner_exact(prog, c.macro, c.name);
+  }
+}
 
-    sim::SuperblockStats stats;
-    const FinalState ref = run_prog(prog, true, false);
-    const FinalState sb = run_prog(prog, false, true, &stats);
-    ASSERT_EQ(ref.reason, sim::HaltReason::kEcall) << c.name;
-    EXPECT_GT(stats.fused_iterations, 0u) << c.name;
-    expect_identical(ref, sb);
-    if (::testing::Test::HasFailure()) FAIL() << c.name;
+TEST(Superblock, ConvInnerMixedAndCrumbBitIdentical) {
+  // The 2x2 body for every mixed accumulate-dot under every selector and
+  // for the uniform crumb dots: the macro-op widens the mixed weight words
+  // through the expander table (8x4 / 8x2 to bytes, 4x2 to nibbles) and
+  // spreads crumbs to bytes. Signed-first 4x2 and crumb bodies must stay
+  // on the generic fused loop (pmaddubsw takes an unsigned first operand).
+  struct MixedCase {
+    const char* name;
+    void (xasm::Assembler::*emit)(u8, u8, u8);
+    bool signed_a;
+  };
+  const MixedCase mixed_ops[] = {
+      {"mlsdotup", &xasm::Assembler::pv_mlsdotup, false},
+      {"mlsdotusp", &xasm::Assembler::pv_mlsdotusp, false},
+      {"mlsdotsp", &xasm::Assembler::pv_mlsdotsp, true},
+  };
+  for (const MixedCase& op : mixed_ops) {
+    for (u32 sel = 0; sel < isa::kMpcSelCount; ++sel) {
+      const xasm::Program prog = conv_inner_program(
+          [&](xasm::Assembler& a, u8 rd, u8 x, u8 w) {
+            (a.*(op.emit))(rd, x, w);
+          },
+          [&](xasm::Assembler& a) {
+            a.csrrwi(r::zero, isa::kMpcCsr, sel);
+          });
+      const bool nibble_kernel = isa::mixed_width_a(sel) == 4;
+      expect_conv_inner_exact(
+          prog, !(nibble_kernel && op.signed_a),
+          std::string(op.name) + " sel " + std::to_string(sel));
+    }
+  }
+
+  struct CrumbCase {
+    const char* name;
+    void (xasm::Assembler::*emit)(isa::SimdFmt, u8, u8, u8);
+    bool signed_a;
+  };
+  const CrumbCase crumb_ops[] = {
+      {"sdotup.c", &xasm::Assembler::pv_sdotup, false},
+      {"sdotusp.c", &xasm::Assembler::pv_sdotusp, false},
+      {"sdotsp.c", &xasm::Assembler::pv_sdotsp, true},
+  };
+  for (const CrumbCase& op : crumb_ops) {
+    const xasm::Program prog = conv_inner_program(
+        [&](xasm::Assembler& a, u8 rd, u8 x, u8 w) {
+          (a.*(op.emit))(isa::SimdFmt::kC, rd, x, w);
+        },
+        [](xasm::Assembler&) {});
+    expect_conv_inner_exact(prog, !op.signed_a, op.name);
   }
 }
 
@@ -529,6 +606,56 @@ TEST(Superblock, MpcFlipMidHotLoopEvictsAndStaysExact) {
   EXPECT_GT(stats.fused_iterations, 0u);
 
   // All three dispatch modes agree bit-for-bit on the final state.
+  expect_identical(ref, fast);
+  expect_identical(ref, sb);
+}
+
+TEST(Superblock, MpcFlipReenters2x2MacroOpUnderEachSelector) {
+  // The mpc-flip program over the 2x2-blocked conv body: each pass must
+  // evict the plan compiled under the previous selector, recompile it
+  // under the new one and run it through the macro-op again (unsigned
+  // activations, so 4x2 takes the nibble kernel too).
+  xasm::Assembler a(0);
+  a.csrrwi(r::zero, isa::kMpcCsr, 0);
+  a.li(r::s5, 3);  // one pass per selector
+  a.li(r::s6, 0);  // next selector value
+  for (u8 acc : {r::a4, r::a5, r::a6, r::a7}) a.li(acc, 0x55);
+  const xasm::Assembler::Label outer = a.here();
+  a.li(r::s0, kData);
+  a.li(r::s1, kData + 0x100);
+  const xasm::Assembler::Label end = a.new_label();
+  a.lp_setupi(0, 24, end);
+  a.p_lw_post(r::t0, r::s0, 4);
+  a.p_lw_post(r::t1, r::s0, 4);
+  a.p_lw_post(r::t2, r::s1, 4);
+  a.p_lw_post(r::t3, r::s1, 4);
+  a.pv_mlsdotusp(r::a4, r::t0, r::t2);
+  a.pv_mlsdotusp(r::a5, r::t1, r::t2);
+  a.pv_mlsdotusp(r::a6, r::t0, r::t3);
+  a.pv_mlsdotusp(r::a7, r::t1, r::t3);
+  a.bind(end);
+  a.addi(r::s6, r::s6, 1);
+  a.csrrw(r::zero, isa::kMpcCsr, r::s6);
+  a.addi(r::s5, r::s5, -1);
+  a.bne(r::s5, r::zero, outer);
+  a.ecall();
+  const xasm::Program prog = a.finish();
+
+  sim::SuperblockStats stats;
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState fast = run_prog(prog, false, false);
+  const FinalState sb = run_prog(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  EXPECT_GE(stats.mpc_evictions, 2u);
+  EXPECT_EQ(stats.blocks_compiled, 3u);  // one plan per selector
+  // A pass retires at most 24 iterations, so more than two passes' worth
+  // means every pass fused; all of them through the macro-op.
+  EXPECT_GT(stats.fused_iterations, 2u * 24u);
+  EXPECT_EQ(stats.macro_iterations,
+            sim::conv_macro_op_built() ? stats.fused_iterations : 0u);
+  for (u32 s = 0; s < isa::kMpcSelCount; ++s) {
+    EXPECT_GT(sb.perf.mixed_dotp_ops[s], 0u) << "sel " << s;
+  }
   expect_identical(ref, fast);
   expect_identical(ref, sb);
 }

@@ -282,8 +282,9 @@ int run_single(const Args& args, const kernels::ConvLayerData& data,
     std::printf("  %-22s %12llu  (rejects %llu)\n", "bursts entered",
                 static_cast<unsigned long long>(sb.entries),
                 static_cast<unsigned long long>(sb.entry_rejects));
-    std::printf("  %-22s %12llu\n", "fused iterations",
-                static_cast<unsigned long long>(sb.fused_iterations));
+    std::printf("  %-22s %12llu  (macro-op %llu)\n", "fused iterations",
+                static_cast<unsigned long long>(sb.fused_iterations),
+                static_cast<unsigned long long>(sb.macro_iterations));
     std::printf("  %-22s %12llu  (%.2f%% of instructions)\n",
                 "fused instructions",
                 static_cast<unsigned long long>(sb.fused_instructions),
